@@ -18,9 +18,17 @@ Two constructors:
 
 The IR is immutable once built and safe to share: consumers keep their
 mutable state (occupancy, history costs) in their own arrays indexed
-by node id.  An `RRGraph`-compatible facade (`nodes`, `adjacency`,
-`base_cost`, ...) materialises lazily so legacy call sites keep
-working during migration without paying for objects they never touch.
+by node id.  It caches no derived view on itself.  `base_costs`,
+`positions`, `csr_targets()` and the other derived columns are built
+on every call, and each consumer (a route kernel, the router) builds
+the forms it uses once, when it is constructed.  The fabric cache
+keeps IRs alive across flows, and a result that holds its graph keeps
+it alive for good, so a cached list view (about 20 MiB over the
+fabrics of one `perfbench` headline pass) would outlive the router
+that wanted it.  An `RRGraph`-compatible facade
+(`nodes`, `adjacency`, `base_cost`, ...) materialises lazily, and is
+cached, so legacy call sites keep working during migration without
+paying for objects they never touch.
 """
 
 from __future__ import annotations
@@ -133,9 +141,9 @@ class RouterColumns:
     """Writable per-router cost/occupancy state columns.
 
     Freshly allocated by `FabricIR.router_columns()` so every router
-    owns its mutable state while the IR's shared cached views stay
-    immutable.  ``static`` starts equal to ``base`` and is refreshed
-    to ``base + history`` once per PathFinder iteration.
+    owns its mutable state while the shared IR stays immutable.
+    ``static`` starts equal to ``base`` and is refreshed to
+    ``base + history`` once per PathFinder iteration.
 
     Attributes:
         base: float64 congestion base costs (copy of `base_costs`).
@@ -303,8 +311,8 @@ class FabricIR:
 
     def neighbors(self, u: int) -> List[int]:
         """Out-neighbors of ``u`` in legacy adjacency order."""
-        offsets = self.csr_offsets()
-        return self.csr_targets()[offsets[u]:offsets[u + 1]]
+        offsets = self.edge_offsets
+        return self.edge_targets[offsets[u]:offsets[u + 1]].tolist()
 
     def out_degree(self, u: int) -> int:
         return int(self.edge_offsets[u + 1] - self.edge_offsets[u])
@@ -331,9 +339,9 @@ class FabricIR:
                 return SwitchKind(int(self.edge_switch[ei]))
         return SwitchKind(switch_kind_code(int(self.kind[u]), int(self.kind[v])))
 
-    # -- shared derived views (cached; the IR is immutable) ----------------
+    # -- derived views (built per call; see the module docstring) ---------
 
-    @cached_property
+    @property
     def base_costs(self) -> np.ndarray:
         """PathFinder base costs (float64): wire cost scales with span;
         pins are cheap; sources/sinks free.  Matches the legacy
@@ -343,7 +351,7 @@ class FabricIR:
         return np.where(wire, self.spans.astype(np.float64),
                         np.where(pin, 0.95, 0.0))
 
-    @cached_property
+    @property
     def capacities(self) -> np.ndarray:
         """Routing capacities (int64): 1 everywhere except the logical
         SOURCE/SINK collectors."""
@@ -351,34 +359,28 @@ class FabricIR:
         return np.where(collector, 10**9, 1).astype(np.int64)
 
     def csr_offsets(self) -> List[int]:
-        """`edge_offsets` as a plain list (hot-loop form, cached)."""
-        cached = self.__dict__.get("_offsets_list")
-        if cached is None:
-            cached = self.__dict__["_offsets_list"] = self.edge_offsets.tolist()
-        return cached
+        """`edge_offsets` as a plain list (hot-loop form)."""
+        return self.edge_offsets.tolist()
 
     def csr_targets(self) -> List[int]:
-        """`edge_targets` as a plain list (hot-loop form, cached)."""
-        cached = self.__dict__.get("_targets_list")
-        if cached is None:
-            cached = self.__dict__["_targets_list"] = self.edge_targets.tolist()
-        return cached
+        """`edge_targets` as a plain list (hot-loop form)."""
+        return self.edge_targets.tolist()
 
-    @cached_property
+    @property
     def sink_flags(self) -> List[bool]:
         return (self.kind == KIND_SINK).tolist()
 
-    @cached_property
+    @property
     def source_flags(self) -> List[bool]:
         return (self.kind == KIND_SOURCE).tolist()
 
-    @cached_property
+    @property
     def wire_spans(self) -> List[int]:
         """Per-node wirelength contribution: span for wires, else 0."""
         wire = (self.kind == KIND_HWIRE) | (self.kind == KIND_VWIRE)
         return np.where(wire, self.spans, 0).tolist()
 
-    @cached_property
+    @property
     def pos_x(self) -> np.ndarray:
         """A* lookahead x coordinates (float64): horizontal-wire
         midpoints, pin/collector tile columns."""
@@ -388,7 +390,7 @@ class FabricIR:
         px[hmask] += half[hmask]
         return px
 
-    @cached_property
+    @property
     def pos_y(self) -> np.ndarray:
         """A* lookahead y coordinates (float64): vertical-wire
         midpoints, pin/collector tile rows."""
@@ -398,34 +400,23 @@ class FabricIR:
         py[vmask] += half[vmask]
         return py
 
-    @cached_property
+    @property
     def positions(self) -> List[Tuple[float, float]]:
         """A* lookahead coordinates: wire midpoints, pin/collector
         tiles.  Matches the legacy router's `_pos` bit-for-bit."""
         return list(zip(self.pos_x.tolist(), self.pos_y.tolist()))
 
     def nodes_of_kind(self, *codes: int) -> np.ndarray:
-        """Node ids whose kind is any of ``codes`` (ascending, cached).
-
-        The kernels use this for their admissibility index sets; the
-        cache lives on the instance, keyed by the code tuple.
-        """
-        cache = self.__dict__.setdefault("_kind_index_cache", {})
-        hit = cache.get(codes)
-        if hit is None:
-            mask = np.zeros(self.num_nodes, dtype=bool)
-            for code in codes:
-                mask |= self.kind == code
-            hit = cache[codes] = np.nonzero(mask)[0]
-        return hit
+        """Node ids whose kind is any of ``codes`` (ascending)."""
+        return np.flatnonzero(np.isin(self.kind, codes))
 
     def router_columns(self) -> RouterColumns:
         """Fresh writable router state columns (one set per router).
 
-        Copies are taken from the shared cached views, so the IR stays
-        safe to share between concurrent routers.
+        Every call builds new arrays, so the IR stays safe to share
+        between concurrent routers.
         """
-        base = self.base_costs.copy()
+        base = self.base_costs
         return RouterColumns(
             base=base,
             capacity=self.capacities.astype(np.int32),

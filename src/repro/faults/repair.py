@@ -28,16 +28,16 @@ degradation events.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..fabric import FabricIR, get_fabric
 from ..obs import get_logger, get_publisher, get_registry, get_tracer, kv
 from ..vpr.place import Placement
 from ..vpr.route import (
     PathFinderRouter,
-    RouteTree,
     RoutingResult,
     build_route_nets,
+    tree_wirelength,
 )
 from .defects import FabricDefectMap, resolve_defects
 
@@ -116,11 +116,6 @@ class RepairResult:
     @property
     def stage_index(self) -> int:
         return REPAIR_STAGES.index(self.stage)
-
-
-def _merged_wirelength(ir: FabricIR, trees: Dict[str, RouteTree]) -> int:
-    wire_spans = ir.wire_spans
-    return sum(wire_spans[n] for tree in trees.values() for n in tree.nodes)
 
 
 def repair_routing(
@@ -235,7 +230,7 @@ def repair_routing(
                 iterations=partial.iterations,
                 trees=merged_trees,
                 overused_nodes=0,
-                wirelength=_merged_wirelength(graph, merged_trees),
+                wirelength=tree_wirelength(graph.wire_spans, merged_trees),
                 convergence=partial.convergence,
             )
             span.set("stage", "incremental")

@@ -177,7 +177,9 @@ def find_min_channel_width(
         # Phase 1: find a routable upper bound.
         width = max(2, start)
         success: Optional[Tuple[int, RoutingResult, FabricIR]] = None
-        fail_width = 0
+        # W=1 is no architecture (ArchParams needs two tracks), so it
+        # is the floor: the narrowest width the bisection probes is 2.
+        fail_width = 1
         while width <= max_width:
             probes += 1
             with tracer.span("flow.route_probe", width=width, phase="double") as probe:

@@ -16,8 +16,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
-from collections import defaultdict
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..arch.params import ArchParams
 from ..netlist.core import BlockType
@@ -137,7 +136,17 @@ def _flat_nets(clustered: ClusteredNetlist) -> List[Tuple[str, List[str]]]:
 
 
 class _Annealer:
-    """Incremental-cost simulated annealing over block locations."""
+    """Incremental-cost simulated annealing over flat block arrays.
+
+    Blocks are ints in sorted-name order (the order moves draw from),
+    coordinates live in two int lists, and each net is a driver id and
+    a tuple of sink ids with its ``weight * q`` factor precomputed.  A
+    move writes the candidate coordinates, recomputes the affected
+    nets' boxes inline and reverts the coordinates on rejection; net
+    costs and the per-tile occupant lists change only on acceptance,
+    apart from the reordering a rejected move leaves behind (see
+    `_moves`).
+    """
 
     def __init__(
         self,
@@ -149,18 +158,37 @@ class _Annealer:
         net_weights: Optional[Dict[str, float]] = None,
     ) -> None:
         self.blocks = blocks
-        self.nets = nets
         self.grid_w = grid_w
         self.grid_h = grid_h
         self.rng = rng
-        self.net_weights = net_weights or {}
-        self.location: Dict[str, Tuple[int, int]] = {}
-        self.at: Dict[Tuple[int, int], List[str]] = defaultdict(list)
-        self.nets_of: Dict[str, List[int]] = defaultdict(list)
+        weights = net_weights or {}
+        self.names = sorted(blocks)
+        self.id_of = id_of = {name: b for b, name in enumerate(self.names)}
+        self.is_logic = [blocks[name].kind == "logic" for name in self.names]
+        n = len(self.names)
+        self.xs = [0] * n
+        self.ys = [0] * n
+        #: Occupant block ids per tile, indexed ``x * grid_h + y``.
+        self.at: List[List[int]] = [[] for _ in range(grid_w * grid_h)]
+        #: Block ids in the order `random_initial` placed them.
+        self.placed_order: List[int] = []
+        #: Per net: driver block id, sink block ids, ``weight * q``.
+        self.net_driver: List[int] = []
+        self.net_sinks: List[Tuple[int, ...]] = []
+        self.net_wq: List[float] = []
+        nets_of: List[List[int]] = [[] for _ in range(n)]
         for i, (driver, sinks) in enumerate(nets):
-            self.nets_of[driver].append(i)
+            self.net_driver.append(id_of[driver])
+            self.net_sinks.append(tuple(id_of[s] for s in sinks))
+            self.net_wq.append(
+                weights.get(driver, 1.0) * crossing_factor(len(sinks) + 1))
+            nets_of[id_of[driver]].append(i)
             for s in sinks:
-                self.nets_of[s].append(i)
+                nets_of[id_of[s]].append(i)
+        self.nets_of = nets_of
+        #: A lone mover's affected nets in `set` iteration order: the
+        #: order the move's cost delta is summed in.
+        self.affected_of = [tuple(set(ids)) for ids in nets_of]
         self.net_cost: List[float] = [0.0] * len(nets)
         self.trajectory: List[AnnealStage] = []
 
@@ -183,28 +211,20 @@ class _Annealer:
             tiles.append((self.grid_w - 1, y))
         return tiles
 
-    def _capacity(self, tile: Tuple[int, int], kind: str) -> int:
-        perimeter = tile[0] in (0, self.grid_w - 1) or tile[1] in (0, self.grid_h - 1)
-        if kind == "logic":
-            return 0 if perimeter else 1
-        return IO_CAPACITY if perimeter else 0
-
     # -- cost -------------------------------------------------------------
-
-    def _bb_cost(self, net_index: int) -> float:
-        driver, sinks = self.nets[net_index]
-        xs = [self.location[driver][0]] + [self.location[s][0] for s in sinks]
-        ys = [self.location[driver][1]] + [self.location[s][1] for s in sinks]
-        q = crossing_factor(len(sinks) + 1)
-        weight = self.net_weights.get(driver, 1.0)
-        return weight * q * ((max(xs) - min(xs)) + (max(ys) - min(ys)))
 
     def total_cost(self) -> float:
         return sum(self.net_cost)
 
+    def _box_cost(self, i: int) -> float:
+        xs, ys = self.xs, self.ys
+        pins = (self.net_driver[i],) + self.net_sinks[i]
+        px = [xs[b] for b in pins]
+        py = [ys[b] for b in pins]
+        return self.net_wq[i] * ((max(px) - min(px)) + (max(py) - min(py)))
+
     def recompute_all(self) -> float:
-        for i in range(len(self.nets)):
-            self.net_cost[i] = self._bb_cost(i)
+        self.net_cost[:] = [self._box_cost(i) for i in range(len(self.net_cost))]
         return self.total_cost()
 
     # -- moves --------------------------------------------------------------
@@ -214,8 +234,11 @@ class _Annealer:
         perimeter = self.perimeter_tiles()
         self.rng.shuffle(interior)
         self.rng.shuffle(perimeter)
-        logic = [b for b in self.blocks.values() if b.kind == "logic"]
-        ios = [b for b in self.blocks.values() if b.kind in ("pi", "po")]
+        id_of = self.id_of
+        logic = [id_of[name] for name, block in self.blocks.items()
+                 if block.kind == "logic"]
+        ios = [id_of[name] for name, block in self.blocks.items()
+               if block.kind in ("pi", "po")]
         if len(logic) > len(interior):
             raise ValueError(
                 f"{len(logic)} clusters exceed {len(interior)} interior tiles"
@@ -224,80 +247,110 @@ class _Annealer:
             raise ValueError(
                 f"{len(ios)} I/Os exceed perimeter capacity {len(perimeter) * IO_CAPACITY}"
             )
-        for block, tile in zip(logic, interior):
-            self.location[block.name] = tile
-            self.at[tile].append(block.name)
-        slot = 0
-        for block in ios:
-            tile = perimeter[slot // IO_CAPACITY]
-            self.location[block.name] = tile
-            self.at[tile].append(block.name)
-            slot += 1
+        tiles = list(zip(logic, interior))
+        tiles += [(b, perimeter[slot // IO_CAPACITY]) for slot, b in enumerate(ios)]
+        for b, (x, y) in tiles:
+            self.xs[b] = x
+            self.ys[b] = y
+            self.at[x * self.grid_h + y].append(b)
+            self.placed_order.append(b)
 
-    def _affected_nets(self, names: Sequence[str]) -> Set[int]:
-        result: Set[int] = set()
-        for name in names:
-            result.update(self.nets_of.get(name, ()))
-        return result
+    def _moves(self, count: int, temperature: float, range_limit: int) -> int:
+        """Run ``count`` SA moves (pick a block, try a move or swap,
+        accept by Metropolis); returns how many were accepted.
 
-    def propose_and_apply(self, temperature: float, range_limit: int) -> bool:
-        """One SA move: pick a block, try a move/swap, accept by
-        Metropolis.  Returns True if accepted."""
-        name = self.rng.choice(self._movable)
-        block = self.blocks[name]
-        old_tile = self.location[name]
-        if block.kind == "logic":
-            # Target: random interior tile within range limit.
-            x = self._clip(old_tile[0] + self.rng.randint(-range_limit, range_limit), 1, self.grid_w - 2)
-            y = self._clip(old_tile[1] + self.rng.randint(-range_limit, range_limit), 1, self.grid_h - 2)
-            new_tile = (x, y)
-            if new_tile == old_tile:
-                return False
-            occupants = [n for n in self.at[new_tile] if self.blocks[n].kind == "logic"]
-            swap_with = occupants[0] if occupants else None
-        else:
-            perimeter = self._perimeter_cache
-            new_tile = perimeter[self.rng.randrange(len(perimeter))]
-            if new_tile == old_tile:
-                return False
-            if len(self.at[new_tile]) >= IO_CAPACITY:
-                ios = [n for n in self.at[new_tile] if self.blocks[n].kind in ("pi", "po")]
-                swap_with = self.rng.choice(ios)
+        A rejected move still leaves the mover, and its swap partner,
+        last in its tile's occupant list: the original relocate-then-
+        revert did so, and later I/O swaps draw from that order.
+        """
+        rng = self.rng
+        randint, randrange, choice, random_ = (
+            rng.randint, rng.randrange, rng.choice, rng.random)
+        exp = math.exp
+        xs, ys, at, is_logic = self.xs, self.ys, self.at, self.is_logic
+        nets_of, affected_of = self.nets_of, self.affected_of
+        net_driver, net_sinks, net_wq, net_cost = (
+            self.net_driver, self.net_sinks, self.net_wq, self.net_cost)
+        gh = self.grid_h
+        x_hi, y_hi = self.grid_w - 2, gh - 2
+        perimeter = self.perimeter_tiles()
+        n_perimeter = len(perimeter)
+        n_blocks = len(xs)
+        trial = list(net_cost)
+        t_div = max(temperature, 1e-12)
+        accepted = 0
+        for _ in range(count):
+            b = randrange(n_blocks)
+            ox = xs[b]
+            oy = ys[b]
+            if is_logic[b]:
+                nx = ox + randint(-range_limit, range_limit)
+                nx = 1 if nx < 1 else (x_hi if nx > x_hi else nx)
+                ny = oy + randint(-range_limit, range_limit)
+                ny = 1 if ny < 1 else (y_hi if ny > y_hi else ny)
+                if nx == ox and ny == oy:
+                    continue
+                occupants = at[nx * gh + ny]
+                partner = occupants[0] if occupants else -1
             else:
-                swap_with = None
+                nx, ny = perimeter[randrange(n_perimeter)]
+                if nx == ox and ny == oy:
+                    continue
+                occupants = at[nx * gh + ny]
+                partner = choice(occupants) if len(occupants) >= IO_CAPACITY else -1
 
-        moved = [name] + ([swap_with] if swap_with else [])
-        affected = self._affected_nets(moved)
-        old_costs = {i: self.net_cost[i] for i in affected}
+            xs[b] = nx
+            ys[b] = ny
+            if partner >= 0:
+                affected = set(nets_of[b])
+                affected.update(nets_of[partner])
+                xs[partner] = ox
+                ys[partner] = oy
+            else:
+                affected = affected_of[b]
+            delta = 0.0
+            for i in affected:
+                d = net_driver[i]
+                x0 = x1 = xs[d]
+                y0 = y1 = ys[d]
+                for p in net_sinks[i]:
+                    x = xs[p]
+                    if x < x0:
+                        x0 = x
+                    elif x > x1:
+                        x1 = x
+                    y = ys[p]
+                    if y < y0:
+                        y0 = y
+                    elif y > y1:
+                        y1 = y
+                cost = net_wq[i] * ((x1 - x0) + (y1 - y0))
+                trial[i] = cost
+                delta += cost - net_cost[i]
 
-        # Apply tentatively.
-        self._relocate(name, old_tile, new_tile)
-        if swap_with:
-            self._relocate(swap_with, new_tile, old_tile)
-        delta = 0.0
-        for i in affected:
-            new_cost = self._bb_cost(i)
-            delta += new_cost - old_costs[i]
-            self.net_cost[i] = new_cost
-
-        if delta <= 0 or self.rng.random() < math.exp(-delta / max(temperature, 1e-12)):
-            return True
-        # Revert.
-        self._relocate(name, new_tile, old_tile)
-        if swap_with:
-            self._relocate(swap_with, old_tile, new_tile)
-        for i, c in old_costs.items():
-            self.net_cost[i] = c
-        return False
-
-    def _relocate(self, name: str, src: Tuple[int, int], dst: Tuple[int, int]) -> None:
-        self.at[src].remove(name)
-        self.at[dst].append(name)
-        self.location[name] = dst
-
-    @staticmethod
-    def _clip(v: int, lo: int, hi: int) -> int:
-        return max(lo, min(hi, v))
+            old_list = at[ox * gh + oy]
+            if delta <= 0 or random_() < exp(-delta / t_div):
+                accepted += 1
+                for i in affected:
+                    net_cost[i] = trial[i]
+                old_list.remove(b)
+                if partner >= 0:
+                    occupants.remove(partner)
+                    old_list.append(partner)
+                occupants.append(b)
+                continue
+            xs[b] = ox
+            ys[b] = oy
+            if old_list[-1] != b:
+                old_list.remove(b)
+                old_list.append(b)
+            if partner >= 0:
+                xs[partner] = nx
+                ys[partner] = ny
+                if occupants[-1] != partner:
+                    occupants.remove(partner)
+                    occupants.append(partner)
+        return accepted
 
     def anneal(self, seed_moves: int = 60, inner_num: float = 1.0) -> float:
         """Run the annealing schedule.
@@ -306,30 +359,26 @@ class _Annealer:
         (inner_num * Nblocks^(4/3)); 1.0 matches VPR's -fast mode,
         10.0 the default-quality mode.
         """
-        self._movable = sorted(self.blocks)
-        self._perimeter_cache = self.perimeter_tiles()
         cost = self.recompute_all()
-        if not self.nets or len(self._movable) < 2:
+        n_blocks = len(self.names)
+        if not self.net_cost or n_blocks < 2:
             return cost
 
         # Initial temperature: 20 x the std-dev of random move deltas.
         deltas: List[float] = []
-        for _ in range(min(seed_moves, 10 * len(self._movable))):
+        full_range = max(self.grid_w, self.grid_h)
+        for _ in range(min(seed_moves, 10 * n_blocks)):
             before = self.total_cost()
-            self.propose_and_apply(temperature=1e18, range_limit=max(self.grid_w, self.grid_h))
+            self._moves(1, temperature=1e18, range_limit=full_range)
             deltas.append(self.total_cost() - before)
         mean = sum(deltas) / len(deltas)
         var = sum((d - mean) ** 2 for d in deltas) / len(deltas)
         temperature = 20.0 * math.sqrt(var) + 1e-9
 
-        n_blocks = len(self._movable)
         moves_per_t = max(10, int(inner_num * n_blocks ** (4.0 / 3.0)))
-        range_limit = float(max(self.grid_w, self.grid_h))
-        while temperature > 0.005 * self.total_cost() / max(len(self.nets), 1):
-            accepted = 0
-            for _ in range(moves_per_t):
-                if self.propose_and_apply(temperature, max(1, int(range_limit))):
-                    accepted += 1
+        range_limit = float(full_range)
+        while temperature > 0.005 * self.total_cost() / max(len(self.net_cost), 1):
+            accepted = self._moves(moves_per_t, temperature, max(1, int(range_limit)))
             alpha = accepted / moves_per_t
             self.trajectory.append(AnnealStage(
                 temperature=temperature,
@@ -349,8 +398,21 @@ class _Annealer:
             else:
                 gamma = 0.8
             temperature *= gamma
-            range_limit = max(1.0, min(range_limit * (1.0 - 0.44 + alpha), float(max(self.grid_w, self.grid_h))))
+            range_limit = max(1.0, min(range_limit * (1.0 - 0.44 + alpha), float(full_range)))
         return self.total_cost()
+
+    def location_of(self) -> Dict[str, Tuple[int, int]]:
+        """Block name -> tile, in the order blocks were first placed."""
+        names, xs, ys = self.names, self.xs, self.ys
+        return {names[b]: (xs[b], ys[b]) for b in self.placed_order}
+
+    def blocks_at(self) -> Dict[Tuple[int, int], List[str]]:
+        """Occupied tile -> block names, in occupant-list order."""
+        names, gh = self.names, self.grid_h
+        return {
+            (t // gh, t % gh): [names[b] for b in occupants]
+            for t, occupants in enumerate(self.at) if occupants
+        }
 
 
 def place(
@@ -414,8 +476,8 @@ def place(
         return Placement(
             grid_width=grid_w,
             grid_height=grid_h,
-            location_of=dict(annealer.location),
-            blocks_at={k: list(v) for k, v in annealer.at.items() if v},
+            location_of=annealer.location_of(),
+            blocks_at=annealer.blocks_at(),
             clustered=clustered,
             cost=cost,
             trajectory=list(annealer.trajectory),

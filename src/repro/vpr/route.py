@@ -216,15 +216,11 @@ class PathFinderRouter:
         # single int set-probe instead of building a tuple per edge.
         self._blocked_edges = frozenset(
             u * n + v for (u, v) in (blocked_edges or ()))
-        # CSR adjacency in list form for the escalation scan.
-        self._edge_offsets = ir.csr_offsets()
-        self._edge_targets = ir.csr_targets()
         # Deterministic tie-break jitter: symmetric conflicts otherwise
         # oscillate forever because both nets see identical costs.
         self._jitter = _jitter_for(max(n, 1))
         self._route_calls = 0
-        # Wire node positions for the A* lookahead.
-        self._pos: List[Tuple[float, float]] = ir.positions
+        self._wire_spans = ir.wire_spans
         self._pin_groups: Optional[Dict[Tuple[int, int, int], List[int]]] = None
         # The expansion kernel owns the mutable per-node state
         # (occupancy / history / static costs) and the search loop.
@@ -382,11 +378,11 @@ class PathFinderRouter:
                 escalate = stall >= 4 and stall % 2 == 0
                 hot = set(overused)
                 if escalate:
-                    offsets = self._edge_offsets
-                    targets = self._edge_targets
+                    offsets = self.fabric.edge_offsets
+                    targets = self.fabric.edge_targets
                     kinds = self.fabric.kind
                     for node in overused:
-                        hot.update(targets[offsets[node]:offsets[node + 1]])
+                        hot.update(targets[offsets[node]:offsets[node + 1]].tolist())
                         # Pin conflicts are matching problems: a tile's
                         # nets must pair off with its pins.  Rip the
                         # sibling pins' users too, or the one free pin
@@ -399,8 +395,8 @@ class PathFinderRouter:
                         if tree is None:
                             continue
                         for n in tree.nodes:
-                            if any(v in overused
-                                   for v in targets[offsets[n]:offsets[n + 1]]):
+                            if any(v in overused for v in
+                                   targets[offsets[n]:offsets[n + 1]].tolist()):
                                 hot.add(n)
                                 break
                 to_route = [
@@ -431,7 +427,7 @@ class PathFinderRouter:
                     # Even congestion-tolerant search failed (graph
                     # disconnection at this width): hard failure.
                     overused_now = len(self._overused())
-                    wirelength = self._wirelength(trees)
+                    wirelength = tree_wirelength(self._wire_spans, trees)
                     convergence.append(RouterIteration(
                         iteration=iteration,
                         overused_nodes=overused_now,
@@ -452,7 +448,7 @@ class PathFinderRouter:
                 trees[net.name] = tree
                 self._occupy(tree, +1)
             overused = self._overused()
-            wirelength = self._wirelength(trees)
+            wirelength = tree_wirelength(self._wire_spans, trees)
             convergence.append(RouterIteration(
                 iteration=iteration,
                 overused_nodes=len(overused),
@@ -495,17 +491,16 @@ class PathFinderRouter:
             iterations=iteration,
             trees=trees,
             overused_nodes=len(self._overused()),
-            wirelength=self._wirelength(trees),
+            wirelength=tree_wirelength(self._wire_spans, trees),
             convergence=convergence,
         )
 
-    def _wirelength(self, trees: Dict[str, RouteTree]) -> int:
-        wire_spans = self.fabric.wire_spans
-        total = 0
-        for tree in trees.values():
-            for node_id in tree.nodes:
-                total += wire_spans[node_id]
-        return total
+
+def tree_wirelength(wire_spans: Sequence[int],
+                    trees: Dict[str, RouteTree]) -> int:
+    """Wire-segment tiles used by ``trees``, given the fabric's
+    `FabricIR.wire_spans`."""
+    return sum(wire_spans[n] for tree in trees.values() for n in tree.nodes)
 
 
 def merge_defect_kwargs(router_kwargs: Dict, defect_map) -> Dict:

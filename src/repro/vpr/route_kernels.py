@@ -211,6 +211,8 @@ class PythonKernel(RouteKernel):
         self._is_source = ir.source_flags
         self._edge_offsets = ir.csr_offsets()
         self._edge_targets = ir.csr_targets()
+        # Wire midpoints / pin tiles for the A* lookahead.
+        self._pos = ir.positions
         # Search scratch arrays reused across nets (epoch-stamped).
         self._dist = [0.0] * n
         self._came = [0] * n
@@ -267,7 +269,7 @@ class PythonKernel(RouteKernel):
         blocked = router._blocked
         blocked_edges = router._blocked_edges
         n_enc = ir.num_nodes
-        pos = router._pos
+        pos = self._pos
         static = self._static
         occ = self._occ
         cap = self._cap
@@ -488,10 +490,20 @@ class _ArrayStateKernel(RouteKernel):
             cv = cong_weight * cv + crit * router._delay_costs[v]
         return cv
 
+    def _next_sink(self, remaining: Dict[int, Tuple[int, int]], source: int,
+                   shuffled_order: List[int]) -> int:
+        """The reference's sink order: the shuffled order when given,
+        else the sink nearest the source (first one on ties)."""
+        if shuffled_order:
+            return next(s for s in shuffled_order if s in remaining)
+        px, py = self._px, self._py
+        sx, sy = px[source], py[source]
+        return min(remaining, key=lambda s: abs(px[s] - sx) + abs(py[s] - sy))
+
     def _h_vector(self, t: int) -> np.ndarray:
         """A* lookahead vector towards target ``t`` (reference op
         order: scale applied after the Manhattan sum)."""
-        tx, ty = self._router._pos[t]
+        tx, ty = self._px[t], self._py[t]
         return self._router.astar_fac * (np.abs(self._px - tx) + np.abs(self._py - ty))
 
     def _wrap_vector(self, vec: np.ndarray):
@@ -602,7 +614,6 @@ class NumpyKernel(_ArrayStateKernel):
         bb = (min(xs) - bb_margin, max(xs) + bb_margin,
               min(ys) - bb_margin, max(ys) + bb_margin)
 
-        pos = router._pos
         crit = (min(max(criticality, 0.0), 0.99)
                 if router._delay_costs is not None else 0.0)
         cong_weight = 1.0 - crit
@@ -626,14 +637,7 @@ class NumpyKernel(_ArrayStateKernel):
         pushes_total = 0
 
         while remaining:
-            if shuffled_order:
-                target_sink = next(s for s in shuffled_order if s in remaining)
-            else:
-                target_sink = min(
-                    remaining,
-                    key=lambda s: abs(pos[s][0] - pos[source][0])
-                    + abs(pos[s][1] - pos[source][1]),
-                )
+            target_sink = self._next_sink(remaining, source, shuffled_order)
             tile = targets[target_sink]
             ha = self._heuristic(target_sink)
             # Patch the search's admissible targets into the vector

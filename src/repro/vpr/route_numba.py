@@ -222,7 +222,6 @@ class NumbaKernel(_ArrayStateKernel):
         bb = (min(xs) - bb_margin, max(xs) + bb_margin,
               min(ys) - bb_margin, max(ys) + bb_margin)
 
-        pos = router._pos
         crit = (min(max(criticality, 0.0), 0.99)
                 if router._delay_costs is not None else 0.0)
         cong_weight = 1.0 - crit
@@ -238,14 +237,7 @@ class NumbaKernel(_ArrayStateKernel):
         blocked = router._blocked
 
         while remaining:
-            if shuffled_order:
-                target_sink = next(s for s in shuffled_order if s in remaining)
-            else:
-                target_sink = min(
-                    remaining,
-                    key=lambda s: abs(pos[s][0] - pos[source][0])
-                    + abs(pos[s][1] - pos[source][1]),
-                )
+            target_sink = self._next_sink(remaining, source, shuffled_order)
             ha = self._heuristic(target_sink)
             patch = target_sink not in blocked
             if patch:

@@ -52,6 +52,19 @@ class TestWminSearch:
         wmin, _result, graph = find_min_channel_width(small_placement, start=8)
         assert graph.params.channel_width == wmin
 
+    def test_never_probes_width_one(self):
+        """apex4 at scale 0.02 routes at W=12 and W=3: the bisection
+        must stop at W=2, not probe W=1 (which `ArchParams` rejects)."""
+        from repro.netlist import MCNC20_PARAMS
+
+        apex4 = next(p for p in MCNC20_PARAMS if p.name == "apex4")
+        arch = ArchParams(channel_width=64)
+        placement = place(pack(generate(apex4.scaled(0.02)), arch), seed=1)
+        wmin, result, graph = find_min_channel_width(placement, arch)
+        assert wmin >= 2
+        assert result.success
+        assert graph.params.channel_width == wmin
+
 
 class TestRunFlow:
     def test_end_to_end(self):

@@ -108,3 +108,21 @@ class TestDeterminism:
         assert {k: sorted(t.nodes) for k, t in a.trees.items()} == {
             k: sorted(t.nodes) for k, t in b.trees.items()
         }
+
+
+class TestFabricHoldsNoListViews:
+    """A FabricIR outlives its routers (the fabric cache, every
+    `FlowResult.graph`), so routing must leave no list form on it:
+    each kernel builds the forms it uses for itself."""
+
+    @pytest.mark.parametrize("kernel", ["python", "numpy"])
+    def test_route_design_leaves_no_list(self, placement, monkeypatch, kernel):
+        import repro.vpr.route as route_mod
+        from repro.fabric import FabricIR
+
+        # A fresh IR, untouched by the tests that share the cache.
+        monkeypatch.setattr(route_mod, "get_fabric", FabricIR.build)
+        result, graph = route_design(placement, ARCH, kernel=kernel)
+        assert result.success
+        lists = sorted(k for k, v in vars(graph).items() if isinstance(v, list))
+        assert lists == []
