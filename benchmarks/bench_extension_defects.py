@@ -11,8 +11,8 @@ import random
 
 import pytest
 
-from repro.arch.rrgraph import RRGraph
 from repro.crossbar import StuckMode, faulty_crossbar, run_bist, solve_voltages
+from repro.fabric import KIND_HWIRE, KIND_VWIRE, FabricIR
 from repro.nemrelay import ActuationModel, AIR, POLYSILICON, SCALED_22NM_DEVICE
 from repro.netlist import MCNC20_PARAMS, generate
 from repro.vpr import PathFinderRouter, build_route_nets
@@ -44,8 +44,8 @@ def run_defects():
     nets = build_route_nets(placement)
     rows = []
     for fraction in DEFECT_FRACTIONS:
-        graph = RRGraph(BENCH_ARCH, placement.grid_width, placement.grid_height)
-        wires = [n.id for n in graph.wire_nodes()]
+        graph = FabricIR.build(BENCH_ARCH, placement.grid_width, placement.grid_height)
+        wires = graph.nodes_of_kind(KIND_HWIRE, KIND_VWIRE).tolist()
         blocked = set(rng.sample(wires, int(fraction * len(wires))))
         router = PathFinderRouter(graph, blocked_nodes=blocked)
         result = router.route(nets)

@@ -1,26 +1,33 @@
 """FabricIR micro-bench — legacy object graph vs the flat IR.
 
-Pre-refactor, every channel-width probe and every repeat route built a
-fresh `RRGraph` object graph and re-derived per-node costs in Python
-loops.  The IR path builds flat arrays once per ``(ArchParams, nx,
-ny)`` and serves repeats from the keyed cache, leaving only PathFinder
-itself on the per-probe bill.  This bench times both arms on a
-tseng-class circuit at the evaluation width and checks the QoR is
-bit-identical — the speedup must come from representation, not from
-routing differently.
+The legacy arm builds a fresh object graph for every channel-width
+probe and repeat route (the reference `RRGraph` the test suite keeps
+in `tests/fabric/reference_rrgraph.py`) and converts it to columns.
+The IR path builds flat arrays once per ``(ArchParams, nx, ny)`` and
+serves repeats from the keyed cache, leaving only PathFinder itself on
+the per-probe bill.  This bench times both arms on a tseng-class
+circuit at the evaluation width and checks the QoR is bit-identical —
+the speedup must come from representation, not from routing
+differently.
 """
 
+import os
+import sys
 import time
 
 import pytest
 
-from repro.arch.rrgraph import RRGraph
 from repro.fabric import fabric_cache, get_fabric
 from repro.netlist import MCNC20_PARAMS
 from repro.vpr import find_min_channel_width, route_design
 from repro.vpr.route import PathFinderRouter, build_route_nets
 
 from conftest import BENCH_ARCH, BENCH_SCALE
+
+# The reference graph lives with the tests; a bare `pytest benchmarks/`
+# does not put the repository root on sys.path.
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from tests.fabric.reference_rrgraph import RRGraph, to_fabric  # noqa: E402
 
 #: Repeat probes per arm: what a Wmin search + variant evaluation loop
 #: asks of one width in practice.
@@ -51,7 +58,7 @@ def test_fabric_ir_route_speedup(benchmark, flow_cache):
 
     def legacy_probe():
         graph = RRGraph(BENCH_ARCH, nx, ny)  # rebuilt every probe
-        return PathFinderRouter(graph).route(nets)
+        return PathFinderRouter(to_fabric(graph)).route(nets)
 
     def ir_probe():
         ir = get_fabric(BENCH_ARCH, nx, ny)  # cache after first probe

@@ -1,9 +1,9 @@
-"""Routing-kernel bench — reference Python walk vs the vector kernels.
+"""Routing-kernel bench — reference Python walk vs the numpy kernel.
 
 PathFinder's inner expansion loop dominates the whole flow at
-evaluation scale, so the vectorised kernels (`repro.vpr.route_kernels`)
-are the difference between minutes and seconds per route.  This bench
-times every available kernel on the same tseng routing job and checks
+evaluation scale, so the vectorised kernel (`repro.vpr.route_kernels`)
+is the difference between minutes and seconds per route.  This bench
+times both kernels on the same tseng routing job and checks
 the results are *bit-identical* — the speedup must come from how the
 search executes, never from searching differently (that contract is
 what keeps the kernel out of store cache keys; see
@@ -14,7 +14,7 @@ W = 56, where the numpy kernel clears 3x over the reference.  Knobs:
 
     REPRO_BENCH_ROUTE_SCALE  circuit shrink factor (default 1.0 —
                              unlike the other benches, this one runs
-                             full size: the vector arms only pay off
+                             full size: the numpy arm only pays off
                              on graphs past ~4k nodes)
     REPRO_BENCH_ROUTE_W      channel width (default 56)
 
@@ -35,7 +35,7 @@ from repro.obs import run_manifest, write_json
 from repro.obs.analyze import append_history, summarize_bench
 from repro.arch import ArchParams
 from repro.vpr.route import PathFinderRouter, build_route_nets
-from repro.vpr.route_kernels import NUMPY_MIN_NODES, numba_available
+from repro.vpr.route_kernels import NUMPY_MIN_NODES
 from repro.vpr.pack import pack
 from repro.vpr.place import place
 
@@ -47,11 +47,8 @@ ROUTE_ARCH = ArchParams(channel_width=ROUTE_W)
 
 #: Conservative gates below the observed figures so machine noise
 #: cannot flake CI; the printed table reports the real numbers.
-#: Observed on the full-size default: numpy 3.2x (target >= 3x).  The
-#: numba arm compiles the same walk; anything below the numpy arm
-#: would mean the compiled path regressed to interpretation.
+#: Observed on the full-size default: numpy 3.2x (target >= 3x).
 MIN_SPEEDUP_NUMPY = 2.0
-MIN_SPEEDUP_NUMBA = 3.0
 
 
 def _fingerprint(result):
@@ -69,7 +66,7 @@ def test_route_kernel_speedup(benchmark):
     graph = get_fabric(
         ROUTE_ARCH, placement.grid_width, placement.grid_height)
 
-    arms = ["python", "numpy"] + (["numba"] if numba_available() else [])
+    arms = ["python", "numpy"]
 
     def run():
         times, results = {}, {}
@@ -89,8 +86,6 @@ def test_route_kernel_speedup(benchmark):
     print(f"{'kernel':>10s} {'seconds':>9s} {'speedup':>8s}")
     for kernel in arms:
         print(f"{kernel:>10s} {times[kernel]:9.2f} {speedups[kernel]:7.2f}x")
-    if not numba_available():
-        print("(numba arm skipped: not importable in this environment)")
 
     # Bit-identical results before any timing claim: same trees, same
     # iteration trace, same outcome — success or failure alike.
@@ -115,8 +110,8 @@ def test_route_kernel_speedup(benchmark):
         if BENCH_HISTORY:
             append_history(BENCH_HISTORY, [summarize_bench(doc, source=path)])
 
-    # The vector arms only pay off past ~NUMPY_MIN_NODES (auto keeps
-    # the reference below that), so the gate matches: nothing enforced
+    # The numpy arm only pays off past ~NUMPY_MIN_NODES (the router
+    # keeps the reference below that), so the gate matches: nothing enforced
     # on small graphs, a loose not-slower floor on shrunk-but-large
     # runs, the full gate at the full-size default where the observed
     # figure (3.2x) leaves real headroom.
@@ -125,7 +120,3 @@ def test_route_kernel_speedup(benchmark):
         assert speedups["numpy"] >= gate, (
             f"numpy kernel speedup {speedups['numpy']:.2f}x below the "
             f"{gate}x gate")
-        if "numba" in arms and ROUTE_SCALE >= 1.0:
-            assert speedups["numba"] >= MIN_SPEEDUP_NUMBA, (
-                f"numba kernel speedup {speedups['numba']:.2f}x below the "
-                f"{MIN_SPEEDUP_NUMBA}x gate")

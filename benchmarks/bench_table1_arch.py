@@ -8,7 +8,8 @@ resource graph construction for a representative fabric.
 
 import pytest
 
-from repro.arch import PAPER_ARCH, RRGraph, build_inventory
+from repro.arch import PAPER_ARCH, build_inventory
+from repro.fabric import FabricIR
 
 PAPER_TABLE1 = {
     "N (LUTs per LB)": 10,
@@ -22,7 +23,7 @@ PAPER_TABLE1 = {
 
 def run_table1():
     inventory = build_inventory(PAPER_ARCH)
-    graph = RRGraph(PAPER_ARCH.with_channel_width(40), nx=8, ny=8)
+    graph = FabricIR.build(PAPER_ARCH.with_channel_width(40), nx=8, ny=8)
     return inventory, graph
 
 

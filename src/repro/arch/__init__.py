@@ -1,13 +1,12 @@
 """Island-style FPGA architecture substrate (paper Sec. 3.1, Fig. 7).
 
-Architecture parameters (Table 1), per-tile component inventories, the
-routing-resource graph the router negotiates over, and the
-minimum-width-transistor-area model with NEM relay stacking.
+Architecture parameters (Table 1), per-tile component inventories and
+the minimum-width-transistor-area model with NEM relay stacking.  The
+routing-resource graph the router negotiates over is `repro.fabric`.
 """
 
 from .params import ArchParams, PAPER_ARCH
 from .tile import TileInventory, build_inventory, grid_size_for
-from .rrgraph import NodeKind, RRGraph, RRNode
 from .area import (
     AreaBreakdown,
     ComponentAreas,
@@ -24,11 +23,8 @@ __all__ = [
     "AreaBreakdown",
     "ComponentAreas",
     "MWTA_90NM_M2",
-    "NodeKind",
     "PAPER_ARCH",
     "RELAY_CELL_AREA_M2",
-    "RRGraph",
-    "RRNode",
     "TileInventory",
     "build_inventory",
     "grid_size_for",

@@ -262,11 +262,6 @@ def _cmd_flow(args: argparse.Namespace) -> int:
     from .obs import get_tracer
     from .vpr import render_congestion, render_placement, run_flow, utilization_summary
 
-    # Kernel choice is execution policy, not job identity: export it so
-    # every router built downstream (store jobs, Wmin derivation)
-    # inherits the same pick without it entering any cache key.
-    if getattr(args, "route_kernel", None):
-        os.environ["REPRO_ROUTE_KERNEL"] = args.route_kernel
     if getattr(args, "store", None):
         return _cmd_flow_store(args)
     arch = ArchParams(channel_width=args.width)
@@ -277,8 +272,7 @@ def _cmd_flow(args: argparse.Namespace) -> int:
     with _telemetry(args, arch=arch, extra={"circuit": args.circuit,
                                             "scale": args.scale},
                     root_span="cli.flow"):
-        flow = run_flow(netlist, arch, seed=args.seed,
-                        route_kernel=getattr(args, "route_kernel", None))
+        flow = run_flow(netlist, arch, seed=args.seed)
         if not flow.success:
             print("routing FAILED at this channel width; try --width higher",
                   file=sys.stderr)
@@ -723,11 +717,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
     if getattr(args, "verbose", 0):
         setup_logging(args.verbose)
-    # Exported (not passed per-job) so worker processes inherit it; the
-    # kernel never enters JobSpec identity because results are
-    # bit-identical across kernels.
-    if getattr(args, "route_kernel", None):
-        os.environ["REPRO_ROUTE_KERNEL"] = args.route_kernel
     try:
         if args.spec:
             spec = BatchSpec.from_file(args.spec)
@@ -1188,11 +1177,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="attach the sampling profiler to the flow; "
                              "stacks land on the cli.flow span under "
                              "--metrics-out, else print to stderr")
-    p_flow.add_argument("--route-kernel", default=None,
-                        choices=["auto", "python", "numpy", "numba"],
-                        help="PathFinder expansion kernel (bit-identical "
-                             "results; execution policy only). Default: "
-                             "auto, or $REPRO_ROUTE_KERNEL")
     p_flow.set_defaults(func=_cmd_flow)
 
     p_rr = sub.add_parser(
@@ -1301,12 +1285,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "parallel results are bit-identical")
         p.add_argument("--json", action="store_true",
                        help="machine-readable results on stdout")
-        p.add_argument("--route-kernel", default=None,
-                       choices=["auto", "python", "numpy", "numba"],
-                       help="PathFinder expansion kernel for every job "
-                            "(bit-identical results; never part of job "
-                            "identity). Default: auto, or "
-                            "$REPRO_ROUTE_KERNEL")
         add_store_args(p)
         add_obs_args(p)
 

@@ -11,11 +11,10 @@ Entry points:
 * `FabricIR.build(params, nx, ny)` — array-native construction;
 * `get_fabric(params, nx, ny)`     — the keyed process-wide cache the
   flow's channel-width probes go through;
-* `as_fabric(graph)`               — coerce legacy `RRGraph` objects
-  (conversion memoised per instance) so migrated consumers accept
-  both representations.
+* `as_fabric(graph)`               — the consumers' type check: returns
+  ``graph`` if it is a `FabricIR`, else raises `TypeError`.
 
-See DESIGN.md ("FabricIR") for the array layout and migration notes.
+See DESIGN.md ("FabricIR") for the array layout.
 """
 
 from .build import (
@@ -29,7 +28,6 @@ from .build import (
 )
 from .ir import (
     FabricIR,
-    RouterColumns,
     SwitchKind,
     TileLookup,
     as_fabric,
@@ -47,7 +45,6 @@ __all__ = [
     "KIND_SINK",
     "KIND_SOURCE",
     "KIND_VWIRE",
-    "RouterColumns",
     "SwitchKind",
     "TileLookup",
     "as_fabric",

@@ -1,15 +1,15 @@
 """Array-native RR-graph construction: the FabricIR backing store.
 
-A faithful port of `repro.arch.rrgraph.RRGraph._build` that emits flat
-parallel arrays instead of `RRNode` objects and per-node adjacency
-lists.  Node ids, node attributes, and per-source edge order are
-identical to the legacy builder (tests/fabric/test_equivalence.py
-checks this exhaustively on small grids), so a router run over either
-representation takes exactly the same decisions.
+A port of the object-graph builder kept as the test suite's reference
+(`tests/fabric/reference_rrgraph.py`) that emits flat parallel arrays
+instead of node objects and per-node adjacency lists.  Node ids, node
+attributes, and per-source edge order are identical to the reference
+(`tests/fabric/test_equivalence.py` checks this exhaustively on small
+grids), so a router run over either takes exactly the same decisions.
 
-The builder keeps the legacy construction's transient dict indexes
-(`_wire_at`, `_entry_at`, `_entries_by_corner`) — they exist only
-during the build; the finished IR is pure arrays.
+The builder keeps transient dict indexes (`_wire_at`, `_entry_at`,
+`_entries_by_corner`) — they exist only during the build; the
+finished IR is pure arrays.
 """
 
 from __future__ import annotations
@@ -20,11 +20,10 @@ import numpy as np
 
 from ..arch.params import ArchParams
 
-#: NodeKind codes, aligned with `repro.arch.rrgraph.NodeKind` member
-#: order (SOURCE, SINK, OPIN, IPIN, HWIRE, VWIRE).
+#: Node-kind codes (SOURCE, SINK, OPIN, IPIN, HWIRE, VWIRE).
 KIND_SOURCE, KIND_SINK, KIND_OPIN, KIND_IPIN, KIND_HWIRE, KIND_VWIRE = range(6)
 
-#: Kind code -> NodeKind.value string (for describe()/stats()).
+#: Kind code -> kind name (for describe()/stats()).
 KIND_NAMES = ("source", "sink", "opin", "ipin", "hwire", "vwire")
 
 
@@ -55,7 +54,7 @@ class RawFabric:
 
 
 class _ArrayBuilder:
-    """Mirror of the legacy `RRGraph` build over flat lists."""
+    """The fabric build over flat lists."""
 
     def __init__(self, params: ArchParams, nx: int, ny: int) -> None:
         if nx < 1 or ny < 1:
@@ -69,8 +68,8 @@ class _ArrayBuilder:
         self._wire_at: Dict[Tuple[bool, int, int, int], int] = {}
         # Unidirectional mode: (is_vertical, channel, corner, track) ->
         # the wire ENTERING (driven) at that corner, plus a per-corner
-        # list of all entries (same staggering caveats as the legacy
-        # builder — see rrgraph.py).
+        # list of all entries (with L-tile staggering only ~W/L tracks
+        # enter at any one corner, so fixed-track lookups mostly miss).
         self._entry_at: Dict[Tuple[bool, int, int, int], int] = {}
         self._entries_by_corner: Dict[Tuple[bool, int, int], List[Tuple[int, int]]] = {}
 
@@ -94,7 +93,7 @@ class _ArrayBuilder:
         self.raw.edge_src.append(src)
         self.raw.edge_dst.append(dst)
 
-    # -- construction (line-for-line port of RRGraph._build) ---------------
+    # -- construction ------------------------------------------------------
 
     def build(self) -> RawFabric:
         self._build_wires()
@@ -318,8 +317,8 @@ def csr_from_edges(
     """(edge_offsets, edge_targets) from an edge list in emit order.
 
     The stable sort preserves per-source emit order, so CSR slice
-    ``targets[offsets[u]:offsets[u + 1]]`` reproduces the legacy
-    adjacency list of ``u`` element-for-element — which the router's
+    ``targets[offsets[u]:offsets[u + 1]]`` lists the out-edges of ``u``
+    in the order they were emitted — which the router's
     determinism (heap tie-breaks follow push order) depends on.
     """
     if len(edge_src) == 0:

@@ -2,10 +2,8 @@
 
 The channel-width binary search and the evaluation stages route the
 same placement repeatedly — at probe widths during the search, then
-again at the working width for every variant/STA pass.  Pre-refactor,
-each of those calls rebuilt a fresh object graph (`vpr/flow.py`'s
-per-probe `RRGraph(...)`); the cache makes a repeat at any previously
-seen width free.
+again at the working width for every variant/STA pass.  The cache
+makes a repeat at any previously seen width free.
 
 `ArchParams` is a frozen dataclass, so `(params, nx, ny)` is directly
 hashable.  Cached IRs are immutable and shared: routers keep their

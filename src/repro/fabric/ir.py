@@ -9,12 +9,9 @@ column (kind/x/y/span/track/direction); adjacency is CSR
 ``edge_switch`` table classifying the programmable switch each edge
 crosses.
 
-Two constructors:
-
-* `FabricIR.build(params, nx, ny)` — array-native build (no `RRNode`
-  objects allocated; see `repro.fabric.build`);
-* `FabricIR.from_rrgraph(graph)` — convert an existing legacy
-  `RRGraph` (used by `as_fabric` to migrate old call sites).
+`FabricIR.build(params, nx, ny)` builds it (see `repro.fabric.build`).
+It is the only graph its consumers accept: `as_fabric` raises
+`TypeError` for anything else.
 
 The IR is immutable once built and safe to share: consumers keep their
 mutable state (occupancy, history costs) in their own arrays indexed
@@ -25,19 +22,15 @@ the forms it uses once, when it is constructed.  The fabric cache
 keeps IRs alive across flows, and a result that holds its graph keeps
 it alive for good, so a cached list view (about 20 MiB over the
 fabrics of one `perfbench` headline pass) would outlive the router
-that wanted it.  An `RRGraph`-compatible facade
-(`nodes`, `adjacency`, `base_cost`, ...) materialises lazily, and is
-cached, so legacy call sites keep working during migration without
-paying for objects they never touch.
+that wanted it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import time
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -54,9 +47,6 @@ from .build import (
     build_raw,
     csr_from_edges,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..arch.rrgraph import RRGraph, RRNode
 
 
 class SwitchKind(enum.IntEnum):
@@ -136,43 +126,18 @@ class TileLookup(Mapping[Tuple[int, int], int]):
         return int((self._table >= 0).sum())
 
 
-@dataclasses.dataclass
-class RouterColumns:
-    """Writable per-router cost/occupancy state columns.
-
-    Freshly allocated by `FabricIR.router_columns()` so every router
-    owns its mutable state while the shared IR stays immutable.
-    ``static`` starts equal to ``base`` and is refreshed to
-    ``base + history`` once per PathFinder iteration.
-
-    Attributes:
-        base: float64 congestion base costs (copy of `base_costs`).
-        capacity: int32 node capacities.
-        occupancy: int32 current net counts, zero-initialised.
-        history: float64 accumulated PathFinder history costs.
-        static: float64 ``base + history`` scratch column.
-    """
-
-    base: np.ndarray
-    capacity: np.ndarray
-    occupancy: np.ndarray
-    history: np.ndarray
-    static: np.ndarray
-
-
 class FabricIR:
     """Structure-of-arrays RR graph over an nx x ny tile grid.
 
     Attributes:
-        params / nx / ny / unidir: Architecture and grid (legacy-
-            compatible names).
+        params / nx / ny / unidir: Architecture and grid.
         kind: int8 node-kind codes (see `repro.fabric.build`).
         xs / ys / spans / tracks: int32 per-node attribute columns.
         directions: int8 per-node wire direction (0 bidir, +1/-1).
         edge_offsets: int64 CSR row pointers (num_nodes + 1).
         edge_targets: int32 CSR targets; the out-edges of ``u`` are
             ``edge_targets[edge_offsets[u]:edge_offsets[u + 1]]`` in
-            legacy adjacency order.
+            build order (router heap tie-breaks depend on it).
         edge_switch: int8 per-edge `SwitchKind`, parallel to
             ``edge_targets``.
         source_table / sink_table: int32 tile lookup arrays (flattened
@@ -216,11 +181,11 @@ class FabricIR:
         self.sink_table = sink_table
         self.build_stats: Dict[str, object] = dict(build_stats or {})
 
-    # -- constructors ------------------------------------------------------
+    # -- construction ------------------------------------------------------
 
     @classmethod
     def build(cls, params: ArchParams, nx: int, ny: int) -> "FabricIR":
-        """Array-native build (no legacy objects allocated)."""
+        """Array-native build of the fabric for ``params`` on nx x ny."""
         with get_tracer().span(
             "fabric.build", nx=nx, ny=ny, channel_width=params.channel_width
         ) as span:
@@ -253,52 +218,6 @@ class FabricIR:
             )
             return ir
 
-    @classmethod
-    def from_rrgraph(cls, graph: "RRGraph") -> "FabricIR":
-        """Convert a legacy object-graph `RRGraph` (facade migration)."""
-        with get_tracer().span(
-            "fabric.convert", nx=graph.nx, ny=graph.ny,
-            channel_width=graph.params.channel_width,
-        ) as span:
-            t0 = time.perf_counter()
-            n = graph.num_nodes
-            nodes = graph.nodes
-            kind = np.fromiter(
-                (_LEGACY_KIND_CODE[node.kind.value] for node in nodes),
-                dtype=np.int8, count=n)
-            xs = np.fromiter((node.x for node in nodes), dtype=np.int32, count=n)
-            ys = np.fromiter((node.y for node in nodes), dtype=np.int32, count=n)
-            spans = np.fromiter((node.span for node in nodes), dtype=np.int32, count=n)
-            tracks = np.fromiter((node.track for node in nodes), dtype=np.int32, count=n)
-            directions = np.fromiter(
-                (node.direction for node in nodes), dtype=np.int8, count=n)
-            counts = np.fromiter(
-                (len(adj) for adj in graph.adjacency), dtype=np.int64, count=n)
-            offsets = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            targets = np.fromiter(
-                (v for adj in graph.adjacency for v in adj),
-                dtype=np.int32, count=int(offsets[-1]))
-            source_table = np.full(graph.nx * graph.ny, -1, dtype=np.int32)
-            sink_table = np.full(graph.nx * graph.ny, -1, dtype=np.int32)
-            for (x, y), node in graph.source_of.items():
-                source_table[x * graph.ny + y] = node
-            for (x, y), node in graph.sink_of.items():
-                sink_table[x * graph.ny + y] = node
-            ir = cls(
-                graph.params, graph.nx, graph.ny,
-                kind=kind, xs=xs, ys=ys, spans=spans, tracks=tracks,
-                directions=directions,
-                edge_offsets=offsets, edge_targets=targets,
-                source_table=source_table, sink_table=sink_table,
-            )
-            ir.build_stats = {
-                "constructor": "from_rrgraph",
-                "build_wall_s": time.perf_counter() - t0,
-            }
-            span.set_many(nodes=ir.num_nodes, edges=ir.num_edges)
-            return ir
-
     # -- core queries ------------------------------------------------------
 
     @property
@@ -310,12 +229,9 @@ class FabricIR:
         return len(self.edge_targets)
 
     def neighbors(self, u: int) -> List[int]:
-        """Out-neighbors of ``u`` in legacy adjacency order."""
+        """Out-neighbors of ``u`` in CSR (build) order."""
         offsets = self.edge_offsets
         return self.edge_targets[offsets[u]:offsets[u + 1]].tolist()
-
-    def out_degree(self, u: int) -> int:
-        return int(self.edge_offsets[u + 1] - self.edge_offsets[u])
 
     @cached_property
     def source_of(self) -> TileLookup:
@@ -344,8 +260,7 @@ class FabricIR:
     @property
     def base_costs(self) -> np.ndarray:
         """PathFinder base costs (float64): wire cost scales with span;
-        pins are cheap; sources/sinks free.  Matches the legacy
-        `RRGraph.base_cost` bit-for-bit."""
+        pins are cheap; sources/sinks free."""
         wire = (self.kind == KIND_HWIRE) | (self.kind == KIND_VWIRE)
         pin = (self.kind == KIND_OPIN) | (self.kind == KIND_IPIN)
         return np.where(wire, self.spans.astype(np.float64),
@@ -403,32 +318,17 @@ class FabricIR:
     @property
     def positions(self) -> List[Tuple[float, float]]:
         """A* lookahead coordinates: wire midpoints, pin/collector
-        tiles.  Matches the legacy router's `_pos` bit-for-bit."""
+        tiles."""
         return list(zip(self.pos_x.tolist(), self.pos_y.tolist()))
 
     def nodes_of_kind(self, *codes: int) -> np.ndarray:
         """Node ids whose kind is any of ``codes`` (ascending)."""
         return np.flatnonzero(np.isin(self.kind, codes))
 
-    def router_columns(self) -> RouterColumns:
-        """Fresh writable router state columns (one set per router).
-
-        Every call builds new arrays, so the IR stays safe to share
-        between concurrent routers.
-        """
-        base = self.base_costs
-        return RouterColumns(
-            base=base,
-            capacity=self.capacities.astype(np.int32),
-            occupancy=np.zeros(self.num_nodes, dtype=np.int32),
-            history=np.zeros(self.num_nodes, dtype=np.float64),
-            static=base.copy(),
-        )
-
     # -- stats -------------------------------------------------------------
 
     def describe(self) -> Dict[str, int]:
-        """Legacy-compatible node-kind counts plus the edge total."""
+        """Node-kind counts plus the edge total."""
         counts: Dict[str, int] = {}
         bincount = np.bincount(self.kind, minlength=len(KIND_NAMES))
         for code, name in enumerate(KIND_NAMES):
@@ -438,7 +338,7 @@ class FabricIR:
         return counts
 
     def memory_bytes(self) -> int:
-        """Footprint of the core arrays (excludes lazy facade views)."""
+        """Footprint of the core arrays."""
         arrays = (
             self.kind, self.xs, self.ys, self.spans, self.tracks,
             self.directions, self.edge_offsets, self.edge_targets,
@@ -466,62 +366,14 @@ class FabricIR:
             "build": dict(self.build_stats),
         }
 
-    # -- RRGraph-compatible facade (lazy; migration aid) -------------------
-
-    @cached_property
-    def nodes(self) -> List["RRNode"]:
-        """Legacy `RRNode` list, materialised on first access only."""
-        from ..arch.rrgraph import NodeKind, RRNode
-
-        kinds = [NodeKind(KIND_NAMES[code]) for code in range(len(KIND_NAMES))]
-        return [
-            RRNode(
-                id=i, kind=kinds[k], x=x, y=y, span=span, track=track,
-                direction=direction,
-            )
-            for i, (k, x, y, span, track, direction) in enumerate(zip(
-                self.kind.tolist(), self.xs.tolist(), self.ys.tolist(),
-                self.spans.tolist(), self.tracks.tolist(),
-                self.directions.tolist(),
-            ))
-        ]
-
-    @cached_property
-    def adjacency(self) -> List[List[int]]:
-        """Legacy adjacency lists, materialised on first access only."""
-        offsets = self.csr_offsets()
-        targets = self.csr_targets()
-        return [
-            targets[offsets[u]:offsets[u + 1]] for u in range(self.num_nodes)
-        ]
-
-    def node_capacity(self, node: "RRNode") -> int:
-        return int(self.capacities[node.id])
-
-    def base_cost(self, node: "RRNode") -> float:
-        return float(self.base_costs[node.id])
-
-    def wire_nodes(self) -> List["RRNode"]:
-        nodes = self.nodes
-        wire = (self.kind == KIND_HWIRE) | (self.kind == KIND_VWIRE)
-        return [nodes[i] for i in np.nonzero(wire)[0].tolist()]
-
-
-#: NodeKind.value string -> kind code (conversion path).
-_LEGACY_KIND_CODE = {name: code for code, name in enumerate(KIND_NAMES)}
-
 
 def as_fabric(graph) -> FabricIR:
-    """Coerce a graph (FabricIR or legacy `RRGraph`) to `FabricIR`.
+    """``graph`` itself, checked to be a `FabricIR`.
 
-    Legacy graphs are converted once and the IR is memoised on the
-    instance, so repeated calls (router + timing + bitstream over the
-    same graph) share one conversion.
+    The router, timing analyzer, bitstream extractor and visualisers
+    accept no other graph; anything else raises `TypeError`.
     """
-    if isinstance(graph, FabricIR):
-        return graph
-    cached = getattr(graph, "_fabric_ir", None)
-    if cached is None:
-        cached = FabricIR.from_rrgraph(graph)
-        graph._fabric_ir = cached
-    return cached
+    if not isinstance(graph, FabricIR):
+        raise TypeError(
+            f"expected a FabricIR routing graph, got {type(graph).__name__}")
+    return graph

@@ -609,7 +609,6 @@ def simulate_mission(
     flow: FlowResult,
     spec: MissionSpec,
     activities: Optional[Dict[str, float]] = None,
-    route_kernel: Optional[str] = None,
     **router_kwargs,
 ) -> MissionResult:
     """Run one lifetime mission over an already-routed clean flow.
@@ -621,14 +620,10 @@ def simulate_mission(
         spec: Mission parameters (`MissionSpec`).
         activities: Net switching densities; defaults to
             `power.activity.estimate_activities` on the flow's netlist.
-        route_kernel: Expansion kernel for every repair-path router
-            (bit-identical across kernels).
         **router_kwargs: Forwarded to every `PathFinderRouter`.
     """
     if not flow.success:
         raise ValueError("mission requires a legally routed clean flow")
-    if route_kernel is not None:
-        router_kwargs["kernel"] = route_kernel
     policy = resolve_policy(spec.policy)
     if activities is None:
         from ..power.activity import estimate_activities

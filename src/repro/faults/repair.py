@@ -126,7 +126,6 @@ def repair_routing(
     campaign: Optional[object] = None,
     max_widen: int = 3,
     widen_step: int = 2,
-    route_kernel: Optional[str] = None,
     **router_kwargs,
 ) -> RepairResult:
     """Restore routing legality against ``defects`` (see module doc).
@@ -145,13 +144,8 @@ def repair_routing(
             pretending a wider fabric is fault-free would be lying.
         max_widen: How many widened widths to try.
         widen_step: Channel-width increment per widened attempt.
-        route_kernel: Expansion kernel for every rung's router (see
-            `repro.vpr.route_kernels`); bit-identical across kernels,
-            so the repair outcome never depends on it.
         **router_kwargs: Forwarded to every `PathFinderRouter`.
     """
-    if route_kernel is not None:
-        router_kwargs["kernel"] = route_kernel
     params = placement.clustered.params
     if graph is None:
         graph = get_fabric(params, placement.grid_width, placement.grid_height)

@@ -133,17 +133,12 @@ def find_min_channel_width(
     start: int = 12,
     max_width: int = 256,
     defects=None,
-    route_kernel: Optional[str] = None,
     **router_kwargs,
 ) -> Tuple[int, RoutingResult, FabricIR]:
     """Binary-search the minimum routable channel width.
 
     Doubles from ``start`` until routable, then bisects.  Returns
     (wmin, routing at wmin, graph at wmin).
-
-    ``route_kernel`` selects the expansion kernel for every probe
-    (see `repro.vpr.route_kernels`); kernels are bit-identical, so
-    the derived Wmin does not depend on the choice.
 
     ``defects`` must be a *provider* (`faults.FaultCampaign` or a
     callable) — the search probes many channel widths and RR node ids
@@ -154,8 +149,6 @@ def find_min_channel_width(
     """
     if params is None:
         params = placement.clustered.params
-    if route_kernel is not None:
-        router_kwargs["kernel"] = route_kernel
     for raw in ("blocked_nodes", "blocked_edges"):
         if router_kwargs.get(raw):
             raise ValueError(
@@ -234,7 +227,6 @@ def run_flow(
     blocked_edges=None,
     defects=None,
     stage_cache: Optional[StageCache] = None,
-    route_kernel: Optional[str] = None,
     **router_kwargs,
 ) -> FlowResult:
     """pack -> place -> route at a fixed channel width.
@@ -251,18 +243,11 @@ def run_flow(
     ``stage_cache`` resumes completed pack/place boundaries from prior
     flows over the same netlist/params/seed (see `StageCache`); the
     skipped stage's span is emitted with ``cached=True``.
-
-    ``route_kernel`` selects the router's expansion kernel (``python``
-    / ``numpy`` / ``numba`` / ``auto``; see `repro.vpr.route_kernels`).
-    Kernels are bit-identical by contract — the choice is execution
-    policy, never part of the result.
     """
     if blocked_nodes:
         router_kwargs["blocked_nodes"] = blocked_nodes
     if blocked_edges:
         router_kwargs["blocked_edges"] = blocked_edges
-    if route_kernel is not None:
-        router_kwargs["kernel"] = route_kernel
     tracer = get_tracer()
     with tracer.span("flow.run", circuit=netlist.name, seed=seed) as root:
         with tracer.span("flow.pack") as span:
@@ -318,7 +303,6 @@ def run_flow_min_width(
     low_stress: bool = True,
     defects=None,
     stage_cache: Optional[StageCache] = None,
-    route_kernel: Optional[str] = None,
     **router_kwargs,
 ) -> FlowResult:
     """pack -> place -> Wmin search -> route at the derived width.
@@ -329,11 +313,8 @@ def run_flow_min_width(
     returns the routing at ``low_stress_width(wmin)`` (or at Wmin
     itself when ``low_stress`` is False — the search already routed
     there, so that arm is free).  ``stage_cache`` resumes pack/place
-    boundaries and ``route_kernel`` selects the expansion kernel, as
-    in `run_flow`.
+    boundaries, as in `run_flow`.
     """
-    if route_kernel is not None:
-        router_kwargs["kernel"] = route_kernel
     tracer = get_tracer()
     with tracer.span("flow.run_min_width", circuit=netlist.name, seed=seed) as root:
         with tracer.span("flow.pack") as span:
@@ -390,7 +371,6 @@ def run_timing_driven_flow(
     blocked_edges=None,
     defects=None,
     stage_cache: Optional[StageCache] = None,
-    route_kernel: Optional[str] = None,
     **router_kwargs,
 ):
     """Timing-driven pack/place/route (VPR-style criticality loop).
@@ -417,8 +397,6 @@ def run_timing_driven_flow(
         router_kwargs["blocked_nodes"] = blocked_nodes
     if blocked_edges:
         router_kwargs["blocked_edges"] = blocked_edges
-    if route_kernel is not None:
-        router_kwargs["kernel"] = route_kernel
 
     if sta_passes < 0:
         raise ValueError(f"sta_passes must be >= 0, got {sta_passes}")

@@ -12,10 +12,10 @@ classic algorithm [McMurchie-Ebeling / Betz 99]:
 * iteration ends when no node is shared by two nets (legal routing)
   or the iteration limit is hit (unroutable at this channel width).
 
-The inner expansion/cost loop lives in a pluggable kernel
-(`repro.vpr.route_kernels`): the pure-Python reference walk, a
-vectorised numpy kernel, or a numba-compiled one — all bit-identical
-by contract, so choosing a kernel changes speed and nothing else.
+The inner expansion/cost loop lives in a kernel picked by graph size
+(`repro.vpr.route_kernels`): the pure-Python reference walk on small
+graphs, a vectorised numpy kernel on large ones — bit-identical by
+contract, so the pick changes speed and nothing else.
 """
 
 from __future__ import annotations
@@ -158,19 +158,19 @@ class PathFinderRouter:
     """Negotiated-congestion router over one RR graph.
 
     Args:
-        graph: The routing-resource graph — a `FabricIR` (preferred)
-            or a legacy `RRGraph` (coerced via `as_fabric`).
+        graph: The routing-resource graph, a `FabricIR` (anything
+            else raises `TypeError`); kept as ``self.fabric``.
         pres_fac_init / pres_fac_mult: Presence penalty schedule.
         hist_fac: History cost accumulation factor.
         max_iterations: Give up after this many rip-up passes.
         astar_fac: A* lookahead aggressiveness (1.0 = admissible).
-        kernel: Expansion kernel — ``"python"`` / ``"numpy"`` /
-            ``"numba"`` / ``"auto"`` / None.  None defers to the
-            ``REPRO_ROUTE_KERNEL`` environment override, then auto
-            (numba when importable, numpy on large graphs, reference
-            otherwise).  Kernels are bit-identical by contract, so
-            this only affects speed — never results, digests or cache
-            keys.  The resolved name is exposed as ``self.kernel``.
+        kernel: Expansion kernel — None picks by graph size (see
+            `repro.vpr.route_kernels.resolve_kernel`); ``"python"`` /
+            ``"numpy"`` force one, which the differential harness and
+            the kernel bench do.  Kernels are bit-identical by
+            contract, so this only affects speed — never results,
+            digests or cache keys.  The resolved name is exposed as
+            ``self.kernel``.
     """
 
     def __init__(
@@ -200,7 +200,6 @@ class PathFinderRouter:
         hop is forbidden (a stuck-open relay kills one crosspoint, not
         the whole track).
         """
-        self.graph = graph
         ir = self.fabric = as_fabric(graph)
         self.pres_fac_init = pres_fac_init
         self.pres_fac_mult = pres_fac_mult

@@ -1,15 +1,16 @@
-"""Pluggable PathFinder expansion kernels (reference / numpy / numba).
+"""PathFinder expansion kernels (reference / numpy).
 
 `PathFinderRouter` delegates its inner loop — per-net cost evaluation,
-neighbour expansion, the A* heap walk — to one of three interchangeable
+neighbour expansion, the A* heap walk — to one of two interchangeable
 kernels:
 
 * ``python`` — the original pure-Python walk, kept verbatim as the
-  *reference kernel* the differential harness pins the others against;
+  *reference kernel* the differential harness pins the other against;
 * ``numpy``  — vectorised cost evaluation over FabricIR's CSR arrays
-  feeding a tight scalar heap walk (this module);
-* ``numba``  — the same array state driving an ``@njit``-compiled
-  search (`repro.vpr.route_numba`), auto-selected when numba imports.
+  feeding a tight scalar heap walk.
+
+The router picks by graph size alone (`resolve_kernel`): numpy at
+`NUMPY_MIN_NODES` nodes or more, the reference below.
 
 Determinism contract
 --------------------
@@ -38,15 +39,14 @@ The invariants that make this provable rather than hopeful:
   expansions that provably cannot change ``dist``/``came`` along any
   traced path.
 
-``REPRO_ROUTE_KERNEL`` (``python`` / ``numpy`` / ``numba`` / ``auto``)
-overrides auto-selection; `tests/vpr/test_route_kernels.py` is the
-differential harness that enforces the contract.
+`tests/vpr/test_route_kernels.py` is the differential harness that
+enforces the contract; it (and `benchmarks/bench_route_kernel.py`)
+forces one kernel through `PathFinderRouter`'s ``kernel=`` argument.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 import random
 import zlib
 from array import array
@@ -67,14 +67,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 INF = float("inf")
 
-#: Selectable kernel names (``auto`` additionally accepted by
-#: `resolve_kernel`).
-KERNELS = ("python", "numpy", "numba")
-#: Environment override consulted when the router gets no explicit
-#: ``kernel=`` argument (batch workers inherit it from the parent).
-ENV_VAR = "REPRO_ROUTE_KERNEL"
+#: Kernel names `PathFinderRouter(kernel=)` accepts.
+KERNELS = ("python", "numpy")
 #: Below this node count the numpy kernel's per-net vector setup
-#: outweighs the walk it saves; ``auto`` stays on the reference.
+#: outweighs the walk it saves, so smaller graphs stay on the reference.
 NUMPY_MIN_NODES = 4096
 #: Byte budget for the per-target-sink A* heuristic cache (each entry
 #: is one float64 per node).  Fill-up-to-cap, no eviction: PathFinder
@@ -84,41 +80,17 @@ H_CACHE_BYTES = 64 * 1024 * 1024
 BB_CACHE_ENTRIES = 4096
 
 
-def numba_available() -> bool:
-    """True when ``import numba`` succeeds (absence is simulated in
-    tests via ``monkeypatch.setitem(sys.modules, "numba", None)``,
-    which makes the import raise)."""
-    try:
-        import numba  # noqa: F401
-    except Exception:
-        return False
-    return True
-
-
 def resolve_kernel(kernel: Optional[str], num_nodes: int) -> str:
-    """Pick the kernel to run: explicit arg > ``REPRO_ROUTE_KERNEL``
-    env > ``auto``.
-
-    ``auto`` prefers numba when importable, numpy on graphs of at
-    least `NUMPY_MIN_NODES` nodes, and the reference kernel otherwise.
-    Unknown names raise `ValueError`; asking for ``numba`` explicitly
-    when it is not importable raises `RuntimeError` (auto never does —
-    it just falls back).
-    """
-    requested = kernel if kernel is not None else os.environ.get(ENV_VAR) or "auto"
-    if requested not in KERNELS + ("auto",):
+    """The kernel to run: ``kernel`` when given, else numpy on graphs
+    of at least `NUMPY_MIN_NODES` nodes and the reference kernel on
+    smaller ones.  Unknown names raise `ValueError`."""
+    if kernel is None:
+        return "numpy" if num_nodes >= NUMPY_MIN_NODES else "python"
+    if kernel not in KERNELS:
         raise ValueError(
-            f"unknown route kernel {requested!r}; expected one of "
-            f"{', '.join(KERNELS + ('auto',))}")
-    if requested == "numba" and not numba_available():
-        raise RuntimeError(
-            "route kernel 'numba' requested but numba is not importable; "
-            "use kernel='auto' to fall back automatically")
-    if requested != "auto":
-        return requested
-    if numba_available():
-        return "numba"
-    return "numpy" if num_nodes >= NUMPY_MIN_NODES else "python"
+            f"unknown route kernel {kernel!r}; expected one of "
+            f"{', '.join(KERNELS)}")
+    return kernel
 
 
 def make_kernel(name: str, router: "PathFinderRouter") -> "RouteKernel":
@@ -127,10 +99,6 @@ def make_kernel(name: str, router: "PathFinderRouter") -> "RouteKernel":
         return PythonKernel(router)
     if name == "numpy":
         return NumpyKernel(router)
-    if name == "numba":
-        from .route_numba import NumbaKernel
-
-        return NumbaKernel(router)
     raise ValueError(f"unknown route kernel {name!r}")
 
 
@@ -148,7 +116,7 @@ class RouteKernel:
     interface must be bit-identical across kernels — the differential
     harness enforces it — except the `heap_pops` / `heap_pushes`
     telemetry counters, which may legitimately differ because the
-    array kernels prune expansions the reference performs and skips.
+    numpy kernel prunes expansions the reference performs and skips.
     """
 
     name = "abstract"
@@ -192,7 +160,7 @@ class PythonKernel(RouteKernel):
     """The original pure-Python walk — the reference kernel.
 
     Kept verbatim (modulo the heap-op counters) as the semantics
-    oracle: the differential harness asserts the array kernels against
+    oracle: the differential harness asserts the numpy kernel against
     this implementation, never the other way round.
     """
 
@@ -391,26 +359,33 @@ class PythonKernel(RouteKernel):
         return self._RouteTree(nodes=tree_nodes, parent=parent, sink_nodes=sink_nodes)
 
 
-class _ArrayStateKernel(RouteKernel):
-    """Shared numpy state + cost-vector machinery for the array kernels.
+class NumpyKernel(RouteKernel):
+    """Vectorised cost build + reduced-CSR scalar heap walk.
 
-    Subclasses choose the CSR form and the heap walk; everything here
-    — the occupancy/history columns, the per-net cost vector, the
-    cached per-target A* heuristic vectors and bounding-box masks —
-    reproduces the reference kernel's IEEE-754 op order exactly.
+    Structure: blocked edges are compacted out of the CSR once, and
+    wire->IPIN edges are dropped — IPINs are only ever *entered* on
+    the target tile, so those in-edges are re-attached per search from
+    a precomputed per-tile table.  All sinks, sources and IPINs fold
+    to ``+inf`` in the cost vector; each search patches the target
+    sink and the target tile's IPINs admissible with the reference's
+    scalar cost expression and restores them afterwards.  The
+    occupancy/history columns, the per-net cost vector, the cached
+    per-target A* heuristic vectors and bounding-box masks reproduce
+    the reference kernel's IEEE-754 op order exactly.
     """
 
-    def __init__(self, router: "PathFinderRouter",
-                 inadmissible_kinds: Tuple[int, ...]) -> None:
+    name = "numpy"
+
+    def __init__(self, router: "PathFinderRouter") -> None:
         super().__init__(router)
         ir = router.fabric
         n = ir.num_nodes
-        cols = ir.router_columns()
-        self._base = cols.base
-        self._cap = cols.capacity
-        self._occ = cols.occupancy
-        self._hist = cols.history
-        self._static = cols.static
+        # Writable per-router state; the shared IR stays immutable.
+        self._base = ir.base_costs
+        self._cap = ir.capacities.astype(np.int32)
+        self._occ = np.zeros(n, dtype=np.int32)
+        self._hist = np.zeros(n, dtype=np.float64)
+        self._static = self._base.copy()
         self._px = ir.pos_x
         self._py = ir.pos_y
         jit = np.asarray(router._jitter, dtype=np.float64)
@@ -419,16 +394,53 @@ class _ArrayStateKernel(RouteKernel):
         # ``jitter2[n - salt : 2n - salt]`` (no per-net np.roll copy).
         self._jitter2 = np.concatenate([jit, jit])
         self._n_jitter = len(jit)
-        self._inadmissible = ir.nodes_of_kind(*inadmissible_kinds)
+        self._inadmissible = ir.nodes_of_kind(KIND_SINK, KIND_SOURCE, KIND_IPIN)
         blocked = sorted(router._blocked)
         self._blocked_idx = (
             np.asarray(blocked, dtype=np.int64) if blocked else None)
         self._delay_np = (
             np.asarray(router._delay_costs, dtype=np.float64)
             if router._delay_costs is not None else None)
-        self._h_cache: Dict[int, object] = {}
+        self._h_cache: Dict[int, array] = {}
         self._h_entries = max(1, H_CACHE_BYTES // max(8 * n, 8))
         self._bb_cache: Dict[Tuple[float, float, float, float], np.ndarray] = {}
+        off = ir.edge_offsets
+        tgt = ir.edge_targets
+        kind = ir.kind
+        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(off))
+        wire = (kind == KIND_HWIRE) | (kind == KIND_VWIRE)
+        if len(tgt):
+            to_ipin = wire[src] & (kind[tgt] == KIND_IPIN)
+        else:
+            to_ipin = np.zeros(0, dtype=bool)
+        if router._blocked_edges:
+            enc = src * n + tgt
+            edge_ok = ~np.isin(enc, np.fromiter(
+                router._blocked_edges, dtype=np.int64,
+                count=len(router._blocked_edges)))
+        else:
+            edge_ok = None
+        keep = ~to_ipin if edge_ok is None else (~to_ipin & edge_ok)
+        counts = np.bincount(src[keep], minlength=n)
+        offs = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=offs[1:])
+        self._k_offsets = offs.tolist()
+        self._k_targets = tgt[keep].tolist()
+        # Per-tile IPIN tables for the per-search re-attachment.
+        ipin_sel = to_ipin if edge_ok is None else (to_ipin & edge_ok)
+        xs, ys = ir.xs, ir.ys
+        tile_extra: Dict[Tuple[int, int], Dict[int, List[int]]] = {}
+        for u, v in zip(src[ipin_sel].tolist(), tgt[ipin_sel].tolist()):
+            tile_extra.setdefault(
+                (int(xs[v]), int(ys[v])), {}).setdefault(u, []).append(v)
+        self._tile_extra = tile_extra
+        tile_ipins: Dict[Tuple[int, int], List[int]] = {}
+        for i in ir.nodes_of_kind(KIND_IPIN).tolist():
+            tile_ipins.setdefault((int(xs[i]), int(ys[i])), []).append(i)
+        self._tile_ipins = tile_ipins
+        # INF-sentinel scratch (restored via the touched list).
+        self._dist = [INF] * n
+        self._came = [0] * n
         from .route import RouteTree
 
         self._RouteTree = RouteTree
@@ -506,14 +518,13 @@ class _ArrayStateKernel(RouteKernel):
         tx, ty = self._px[t], self._py[t]
         return self._router.astar_fac * (np.abs(self._px - tx) + np.abs(self._py - ty))
 
-    def _wrap_vector(self, vec: np.ndarray):
-        """Hook: final in-memory form of a cached heuristic vector."""
-        return vec
-
-    def _heuristic(self, t: int):
+    def _heuristic(self, t: int) -> array:
         h = self._h_cache.get(t)
         if h is None:
-            h = self._wrap_vector(self._h_vector(t))
+            # array('d') gives ~2x faster python-float item reads than
+            # a numpy array in the scalar walk (no per-index boxing).
+            h = array("d")
+            h.frombytes(memoryview(self._h_vector(t)).cast("B"))
             if len(self._h_cache) < self._h_entries:
                 self._h_cache[t] = h
         return h
@@ -527,69 +538,6 @@ class _ArrayStateKernel(RouteKernel):
                 self._bb_cache[bb] = mask
         return mask
 
-
-class NumpyKernel(_ArrayStateKernel):
-    """Vectorised cost build + reduced-CSR scalar heap walk.
-
-    Structure: blocked edges are compacted out of the CSR once, and
-    wire->IPIN edges are dropped — IPINs are only ever *entered* on
-    the target tile, so those in-edges are re-attached per search from
-    a precomputed per-tile table.  All sinks, sources and IPINs fold
-    to ``+inf`` in the cost vector; each search patches the target
-    sink and the target tile's IPINs admissible with the reference's
-    scalar cost expression and restores them afterwards.
-    """
-
-    name = "numpy"
-
-    def __init__(self, router: "PathFinderRouter") -> None:
-        super().__init__(router, (KIND_SINK, KIND_SOURCE, KIND_IPIN))
-        ir = router.fabric
-        n = ir.num_nodes
-        off = ir.edge_offsets
-        tgt = ir.edge_targets
-        kind = ir.kind
-        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(off))
-        wire = (kind == KIND_HWIRE) | (kind == KIND_VWIRE)
-        if len(tgt):
-            to_ipin = wire[src] & (kind[tgt] == KIND_IPIN)
-        else:
-            to_ipin = np.zeros(0, dtype=bool)
-        if router._blocked_edges:
-            enc = src * n + tgt
-            edge_ok = ~np.isin(enc, np.fromiter(
-                router._blocked_edges, dtype=np.int64,
-                count=len(router._blocked_edges)))
-        else:
-            edge_ok = None
-        keep = ~to_ipin if edge_ok is None else (~to_ipin & edge_ok)
-        counts = np.bincount(src[keep], minlength=n)
-        offs = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=offs[1:])
-        self._k_offsets = offs.tolist()
-        self._k_targets = tgt[keep].tolist()
-        # Per-tile IPIN tables for the per-search re-attachment.
-        ipin_sel = to_ipin if edge_ok is None else (to_ipin & edge_ok)
-        xs, ys = ir.xs, ir.ys
-        tile_extra: Dict[Tuple[int, int], Dict[int, List[int]]] = {}
-        for u, v in zip(src[ipin_sel].tolist(), tgt[ipin_sel].tolist()):
-            tile_extra.setdefault(
-                (int(xs[v]), int(ys[v])), {}).setdefault(u, []).append(v)
-        self._tile_extra = tile_extra
-        tile_ipins: Dict[Tuple[int, int], List[int]] = {}
-        for i in ir.nodes_of_kind(KIND_IPIN).tolist():
-            tile_ipins.setdefault((int(xs[i]), int(ys[i])), []).append(i)
-        self._tile_ipins = tile_ipins
-        # INF-sentinel scratch (restored via the touched list).
-        self._dist = [INF] * n
-        self._came = [0] * n
-
-    def _wrap_vector(self, vec: np.ndarray) -> array:
-        # array('d') gives ~2x faster python-float item reads than a
-        # numpy array in the scalar walk (no per-index boxing).
-        out = array("d")
-        out.frombytes(memoryview(vec).cast("B"))
-        return out
 
     def route_net(
         self,

@@ -460,6 +460,7 @@ def _analyze_timing_impl(
     graph: FabricIR,
     fabric: FabricElectrical,
 ) -> TimingReport:
+    graph = as_fabric(graph)
     clustered = placement.clustered
     netlist = clustered.netlist
 

@@ -5,14 +5,15 @@ from collections import deque
 import pytest
 
 from repro.arch.params import ArchParams
-from repro.arch.rrgraph import NodeKind, RRGraph
+from repro.fabric import KIND_HWIRE, KIND_OPIN, KIND_VWIRE, FabricIR
 
 UNIDIR = ArchParams(channel_width=24, directionality="unidir")
+WIRES = (KIND_HWIRE, KIND_VWIRE)
 
 
 @pytest.fixture(scope="module")
 def graph():
-    return RRGraph(UNIDIR, 5, 5)
+    return FabricIR.build(UNIDIR, 5, 5)
 
 
 class TestParams:
@@ -26,42 +27,45 @@ class TestParams:
 
 class TestStructure:
     def test_every_wire_directed(self, graph):
-        for node in graph.wire_nodes():
-            assert node.direction in (1, -1)
+        for node in graph.nodes_of_kind(*WIRES).tolist():
+            assert graph.directions[node] in (1, -1)
 
     def test_directions_alternate_by_track(self, graph):
-        for node in graph.wire_nodes():
-            expected = 1 if node.track % 2 == 0 else -1
-            assert node.direction == expected
+        for node in graph.nodes_of_kind(*WIRES).tolist():
+            expected = 1 if graph.tracks[node] % 2 == 0 else -1
+            assert graph.directions[node] == expected
 
     def test_bidir_wires_undirected(self):
-        bidir = RRGraph(ArchParams(channel_width=16), 3, 3)
-        assert all(n.direction == 0 for n in bidir.wire_nodes())
+        bidir = FabricIR.build(ArchParams(channel_width=16), 3, 3)
+        wires = bidir.nodes_of_kind(*WIRES)
+        assert all(d == 0 for d in bidir.directions[wires].tolist())
 
     def test_wire_edges_enter_targets_at_their_start(self, graph):
         """Every wire-wire edge lands on the target's driven end."""
-        for node in graph.wire_nodes():
-            for dst in graph.adjacency[node.id]:
-                target = graph.nodes[dst]
-                if target.kind not in (NodeKind.HWIRE, NodeKind.VWIRE):
+        kind, xs, ys = graph.kind, graph.xs, graph.ys
+        spans, directions = graph.spans, graph.directions
+        for node in graph.nodes_of_kind(*WIRES).tolist():
+            for dst in graph.neighbors(node):
+                if kind[dst] not in WIRES:
                     continue
-                vertical = target.kind is NodeKind.VWIRE
-                start = target.y if vertical else target.x
-                entry = start if target.direction > 0 else start + target.span
-                src_chan = node.x if node.kind is NodeKind.VWIRE else node.y
-                src_start = node.y if node.kind is NodeKind.VWIRE else node.x
-                exit_corner = src_start + node.span if node.direction > 0 else src_start
-                if target.kind == node.kind:
+                vertical = kind[dst] == KIND_VWIRE
+                start = ys[dst] if vertical else xs[dst]
+                entry = start if directions[dst] > 0 else start + spans[dst]
+                src_chan = xs[node] if kind[node] == KIND_VWIRE else ys[node]
+                src_start = ys[node] if kind[node] == KIND_VWIRE else xs[node]
+                exit_corner = (src_start + spans[node] if directions[node] > 0
+                               else src_start)
+                if kind[dst] == kind[node]:
                     assert entry == exit_corner  # collinear continuation
                 # (crossing edges verified by the corner bookkeeping)
 
     def test_no_reverse_wire_edges(self, graph):
         """Unidirectional edges are not symmetric (unlike bidir)."""
         asymmetric = 0
-        for node in graph.wire_nodes():
-            for dst in graph.adjacency[node.id]:
-                if graph.nodes[dst].kind in (NodeKind.HWIRE, NodeKind.VWIRE):
-                    if node.id not in graph.adjacency[dst]:
+        for node in graph.nodes_of_kind(*WIRES).tolist():
+            for dst in graph.neighbors(node):
+                if graph.kind[dst] in WIRES:
+                    if node not in graph.neighbors(dst):
                         asymmetric += 1
         assert asymmetric > 0
 
@@ -76,7 +80,7 @@ class TestConnectivity:
             queue = deque([src])
             while queue:
                 u = queue.popleft()
-                for v in graph.adjacency[u]:
+                for v in graph.neighbors(u):
                     if v not in seen:
                         seen.add(v)
                         queue.append(v)
@@ -85,9 +89,8 @@ class TestConnectivity:
                     assert sink in seen, f"{tile} cannot reach {sink_tile}"
 
     def test_opins_have_taps(self, graph):
-        for node in graph.nodes:
-            if node.kind is NodeKind.OPIN:
-                assert graph.adjacency[node.id], f"OPIN {node.id} tapless"
+        for node in graph.nodes_of_kind(KIND_OPIN).tolist():
+            assert graph.neighbors(node), f"OPIN {node} tapless"
 
 
 class TestRouting:

@@ -1,6 +1,10 @@
-"""Routing-resource (RR) graph for the island-style architecture.
+"""Reference routing-resource (RR) graph: the oracle `FabricIR` is pinned to.
 
-The graph the PathFinder router negotiates over.  Node kinds:
+The object-graph builder the array-native `repro.fabric.build` was
+ported from, kept here as the reference implementation of the
+equivalence suite (`test_equivalence.py`, `test_routing_identity.py`)
+and the legacy arm of `benchmarks/bench_fabric_ir.py`.  Nothing in
+`src/` imports it.  Node kinds:
 
 * ``SOURCE``/``SINK`` — logical net endpoints per LB (pins of one LB
   are logically equivalent through the internal crossbar, so one
@@ -15,6 +19,10 @@ wire (Fs at segment endpoints, plus collinear continuation), wire ->
 IPIN (Fcin via CB).  Wires are bidirectional (pass-transistor or relay
 switches conduct both ways), so wire-wire edges appear in both
 directions.
+
+`to_fabric` converts a built graph into a `FabricIR` column for
+column, so the router (which accepts only `FabricIR`) can route over
+the reference graph.
 """
 
 from __future__ import annotations
@@ -23,7 +31,10 @@ import dataclasses
 import enum
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .params import ArchParams
+import numpy as np
+
+from repro.arch.params import ArchParams
+from repro.fabric import KIND_NAMES, FabricIR
 
 
 class NodeKind(enum.Enum):
@@ -414,3 +425,41 @@ class RRGraph:
             counts[node.kind.value] = counts.get(node.kind.value, 0) + 1
         counts["edges"] = self.num_edges
         return counts
+
+
+#: NodeKind.value string -> FabricIR kind code.
+_KIND_CODE = {name: code for code, name in enumerate(KIND_NAMES)}
+
+
+def to_fabric(graph: RRGraph) -> FabricIR:
+    """The `FabricIR` holding ``graph``'s nodes, edges and tile maps."""
+    n = graph.num_nodes
+    nodes = graph.nodes
+    kind = np.fromiter(
+        (_KIND_CODE[node.kind.value] for node in nodes), dtype=np.int8, count=n)
+    xs = np.fromiter((node.x for node in nodes), dtype=np.int32, count=n)
+    ys = np.fromiter((node.y for node in nodes), dtype=np.int32, count=n)
+    spans = np.fromiter((node.span for node in nodes), dtype=np.int32, count=n)
+    tracks = np.fromiter((node.track for node in nodes), dtype=np.int32, count=n)
+    directions = np.fromiter(
+        (node.direction for node in nodes), dtype=np.int8, count=n)
+    counts = np.fromiter(
+        (len(adj) for adj in graph.adjacency), dtype=np.int64, count=n)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    targets = np.fromiter(
+        (v for adj in graph.adjacency for v in adj),
+        dtype=np.int32, count=int(offsets[-1]))
+    source_table = np.full(graph.nx * graph.ny, -1, dtype=np.int32)
+    sink_table = np.full(graph.nx * graph.ny, -1, dtype=np.int32)
+    for (x, y), node in graph.source_of.items():
+        source_table[x * graph.ny + y] = node
+    for (x, y), node in graph.sink_of.items():
+        sink_table[x * graph.ny + y] = node
+    return FabricIR(
+        graph.params, graph.nx, graph.ny,
+        kind=kind, xs=xs, ys=ys, spans=spans, tracks=tracks,
+        directions=directions, edge_offsets=offsets, edge_targets=targets,
+        source_table=source_table, sink_table=sink_table,
+        build_stats={"constructor": "reference"},
+    )

@@ -1,18 +1,19 @@
-"""FabricIR <-> legacy RRGraph equivalence property tests.
+"""FabricIR <-> reference RRGraph equivalence property tests.
 
-The IR is only allowed to exist because it is *exactly* the legacy
-graph in flat clothing: same nodes (attributes and ids), same
-adjacency in the same per-source order (router heap tie-breaks depend
-on it), same tile lookup maps, same base costs and capacities.  These
-tests pin that contract over a grid of architectures so the two build
-paths cannot drift apart silently.
+The IR is only allowed to exist because it is *exactly* the reference
+object graph (`reference_rrgraph.RRGraph`) in flat clothing: same
+nodes (attributes and ids), same adjacency in the same per-source
+order (router heap tie-breaks depend on it), same tile lookup maps,
+same base costs and capacities.  These tests pin that contract over a
+grid of architectures so the build cannot drift silently.
 """
 
 import pytest
 
 from repro.arch.params import ArchParams
-from repro.arch.rrgraph import RRGraph
 from repro.fabric import KIND_NAMES, FabricIR, as_fabric
+
+from .reference_rrgraph import RRGraph, to_fabric
 
 GRIDS = [(3, 3), (4, 4), (4, 5)]
 ARCHES = [
@@ -90,9 +91,9 @@ class TestLookupEquivalence:
 
 class TestConversionEquivalence:
     def test_from_rrgraph_matches_build(self, pair):
-        """The conversion path produces the identical IR."""
+        """The reference converted to columns is the identical IR."""
         legacy, ir = pair
-        converted = as_fabric(legacy)
+        converted = to_fabric(legacy)
         assert (converted.kind == ir.kind).all()
         assert (converted.xs == ir.xs).all()
         assert (converted.ys == ir.ys).all()
@@ -104,10 +105,6 @@ class TestConversionEquivalence:
         assert (converted.edge_switch == ir.edge_switch).all()
         assert (converted.source_table == ir.source_table).all()
         assert (converted.sink_table == ir.sink_table).all()
-
-    def test_as_fabric_memoises(self, pair):
-        legacy, _ = pair
-        assert as_fabric(legacy) is as_fabric(legacy)
 
     def test_as_fabric_passthrough(self, pair):
         _, ir = pair

@@ -1,9 +1,10 @@
-"""Tests for repro.fabric.ir (FabricIR structure and facade)."""
+"""Tests for repro.fabric.ir (FabricIR structure and type check)."""
 
 import pytest
 
 from repro.arch.params import ArchParams
-from repro.arch.rrgraph import NodeKind, RRGraph
+from repro.config import extract_bitstream
+from repro.core.variants import baseline_variant
 from repro.fabric import (
     KIND_HWIRE,
     KIND_IPIN,
@@ -16,6 +17,13 @@ from repro.fabric import (
     TileLookup,
     switch_kind_code,
 )
+from repro.netlist.generate import GeneratorParams, generate
+from repro.vpr.pack import pack
+from repro.vpr.place import place
+from repro.vpr.route import PathFinderRouter, route_design
+from repro.vpr.timing import analyze_timing
+
+from .reference_rrgraph import RRGraph
 
 ARCH = ArchParams(channel_width=8, segment_length=2)
 
@@ -104,36 +112,44 @@ class TestTileLookup:
             ir.sink_of[(-1, 0)]
 
 
-class TestLegacyFacade:
-    def test_nodes_view(self, ir):
-        nodes = ir.nodes
-        assert len(nodes) == ir.num_nodes
-        node = nodes[0]
-        assert node.id == 0
-        assert isinstance(node.kind, NodeKind)
-
-    def test_adjacency_view(self, ir):
-        adjacency = ir.adjacency
-        assert len(adjacency) == ir.num_nodes
-        assert sum(len(a) for a in adjacency) == ir.num_edges
-
-    def test_cost_and_capacity_accessors(self, ir):
-        wire = ir.wire_nodes()[0]
-        assert ir.base_cost(wire) == float(wire.span)
-        assert ir.node_capacity(wire) == 1
-        source = ir.nodes[ir.source_of[(0, 0)]]
-        assert ir.node_capacity(source) >= 10 ** 9
-
-    def test_positions_match_legacy_router_expectations(self, ir):
+class TestPositions:
+    def test_positions_per_node(self, ir):
         positions = ir.positions
         assert len(positions) == ir.num_nodes
-        wire = ir.wire_nodes()[0]
-        px, py = positions[wire.id]
-        assert px >= wire.x and py >= wire.y
+        wire = int(ir.nodes_of_kind(KIND_HWIRE, KIND_VWIRE)[0])
+        px, py = positions[wire]
+        assert px >= ir.xs[wire] and py >= ir.ys[wire]
 
 
-class TestBuildStats:
-    def test_conversion_provenance(self):
-        legacy = RRGraph(ARCH, 3, 3)
-        ir = FabricIR.from_rrgraph(legacy)
-        assert ir.build_stats["constructor"] == "from_rrgraph"
+class TestOnlyFabricIRAccepted:
+    """The router, STA and bitstream extractor take a `FabricIR` and
+    nothing else: any other graph is a `TypeError` naming it."""
+
+    @pytest.fixture(scope="class")
+    def routed(self):
+        clustered = pack(generate(GeneratorParams("tc", num_luts=30, seed=3)), ARCH)
+        placement = place(clustered, seed=1)
+        routing, graph = route_design(placement, ARCH, channel_width=16)
+        assert routing.success
+        return placement, routing, graph
+
+    @pytest.fixture(params=["object", "reference"])
+    def not_ir(self, request):
+        if request.param == "object":
+            return object()
+        return RRGraph(ARCH, 3, 3)
+
+    def test_router_rejects(self, not_ir):
+        with pytest.raises(TypeError, match="FabricIR"):
+            PathFinderRouter(not_ir)
+
+    def test_analyze_timing_rejects(self, routed, not_ir):
+        placement, routing, _ = routed
+        fabric = baseline_variant(ARCH).fabric()
+        with pytest.raises(TypeError, match="FabricIR"):
+            analyze_timing(placement, routing, not_ir, fabric)
+
+    def test_extract_bitstream_rejects(self, routed, not_ir):
+        _, routing, _ = routed
+        with pytest.raises(TypeError, match="FabricIR"):
+            extract_bitstream(routing, not_ir)

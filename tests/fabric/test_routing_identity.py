@@ -1,20 +1,22 @@
-"""Routing determinism across graph representations.
+"""Routing determinism across graph builds.
 
-PathFinder's heap tie-breaks follow adjacency push order, so handing
-the router a legacy `RRGraph` or the equivalent `FabricIR` must yield
-the *same* routing — trees, wirelength, iteration count — not merely a
-legal one.  This is the acceptance gate for the IR migration.
+PathFinder's heap tie-breaks follow adjacency push order, so routing
+over the reference object graph (`reference_rrgraph.RRGraph`, put in
+columns by `to_fabric`) and over `FabricIR.build` must yield the
+*same* routing — trees, wirelength, iteration count — not merely a
+legal one.
 """
 
 import pytest
 
 from repro.arch.params import ArchParams
-from repro.arch.rrgraph import RRGraph
 from repro.fabric import FabricIR, get_fabric
 from repro.netlist.suites import load_circuit
 from repro.vpr.pack import pack
 from repro.vpr.place import place
 from repro.vpr.route import PathFinderRouter, build_route_nets, route_design
+
+from .reference_rrgraph import RRGraph, to_fabric
 
 ARCH = ArchParams(channel_width=24, segment_length=2)
 
@@ -42,7 +44,7 @@ class TestRepresentationIdentity:
     def test_legacy_and_ir_route_identically(self, placement, route_nets):
         legacy = RRGraph(ARCH, placement.grid_width, placement.grid_height)
         ir = FabricIR.build(ARCH, placement.grid_width, placement.grid_height)
-        r_legacy = PathFinderRouter(legacy).route(route_nets)
+        r_legacy = PathFinderRouter(to_fabric(legacy)).route(route_nets)
         r_ir = PathFinderRouter(ir).route(route_nets)
         assert r_legacy.success and r_ir.success
         assert r_legacy.wirelength == r_ir.wirelength

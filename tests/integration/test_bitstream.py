@@ -7,12 +7,19 @@ programming) and Sec. 3 (routed CMOS-NEM FPGAs).
 import pytest
 
 from repro.arch.params import ArchParams
-from repro.arch.rrgraph import NodeKind
 from repro.config import (
     extract_bitstream,
     plan_tile_arrays,
     program_fabric,
     verify_bitstream_connectivity,
+)
+from repro.fabric import (
+    KIND_HWIRE,
+    KIND_IPIN,
+    KIND_OPIN,
+    KIND_SINK,
+    KIND_SOURCE,
+    KIND_VWIRE,
 )
 from repro.netlist.generate import GeneratorParams, generate
 from repro.vpr.flow import run_flow
@@ -40,13 +47,13 @@ class TestExtraction:
 
     def test_every_edge_is_programmable_kind(self, flow, bitstream):
         graph = flow.graph
-        wire_kinds = {NodeKind.HWIRE, NodeKind.VWIRE}
+        wire_kinds = {KIND_HWIRE, KIND_VWIRE}
         for edges in bitstream.switches_by_tile.values():
             for u, v in edges:
-                ku, kv = graph.nodes[u].kind, graph.nodes[v].kind
+                ku, kv = int(graph.kind[u]), int(graph.kind[v])
                 assert (
-                    ku is NodeKind.OPIN and kv in wire_kinds
-                    or ku in wire_kinds and kv is NodeKind.IPIN
+                    ku == KIND_OPIN and kv in wire_kinds
+                    or ku in wire_kinds and kv == KIND_IPIN
                     or (ku in wire_kinds and kv in wire_kinds)
                 )
 
@@ -59,14 +66,14 @@ class TestExtraction:
 
     def test_edge_count_matches_tree_switch_hops(self, flow, bitstream):
         graph = flow.graph
-        wire_kinds = {NodeKind.HWIRE, NodeKind.VWIRE}
+        wire_kinds = {KIND_HWIRE, KIND_VWIRE}
         expected = set()
         for tree in flow.routing.trees.values():
             for node, parent in tree.parent.items():
                 if parent < 0:
                     continue
-                ku, kv = graph.nodes[parent].kind, graph.nodes[node].kind
-                if ku is NodeKind.SOURCE or kv is NodeKind.SINK:
+                ku, kv = int(graph.kind[parent]), int(graph.kind[node])
+                if ku == KIND_SOURCE or kv == KIND_SINK:
                     continue
                 if ku in wire_kinds or kv in wire_kinds:
                     expected.add((parent, node))

@@ -11,16 +11,25 @@ from collections import deque
 from hypothesis import given, settings, strategies as st
 
 from repro.arch.params import ArchParams
-from repro.arch.rrgraph import NodeKind, RRGraph
+from repro.fabric import (
+    KIND_HWIRE,
+    KIND_IPIN,
+    KIND_OPIN,
+    KIND_SINK,
+    KIND_VWIRE,
+    FabricIR,
+)
+
+WIRES = (KIND_HWIRE, KIND_VWIRE)
 
 
-def _all_pairs_reachable(graph: RRGraph) -> bool:
+def _all_pairs_reachable(graph: FabricIR) -> bool:
     for tile, src in graph.source_of.items():
         seen = {src}
         queue = deque([src])
         while queue:
             u = queue.popleft()
-            for v in graph.adjacency[u]:
+            for v in graph.neighbors(u):
                 if v not in seen:
                     seen.add(v)
                     queue.append(v)
@@ -39,7 +48,7 @@ class TestFabricReachability:
     @settings(max_examples=20, deadline=None)
     def test_bidir_full_reachability(self, width, seg_len, side):
         params = ArchParams(channel_width=width, segment_length=seg_len)
-        graph = RRGraph(params, side, side)
+        graph = FabricIR.build(params, side, side)
         assert _all_pairs_reachable(graph)
 
     @given(
@@ -55,7 +64,7 @@ class TestFabricReachability:
         params = ArchParams(
             channel_width=width, segment_length=seg_len, directionality="unidir"
         )
-        graph = RRGraph(params, side, side)
+        graph = FabricIR.build(params, side, side)
         assert _all_pairs_reachable(graph)
 
     @given(width=st.integers(8, 32), seg_len=st.integers(1, 6))
@@ -66,26 +75,27 @@ class TestFabricReachability:
         params = ArchParams(
             channel_width=width, segment_length=seg_len, directionality="unidir"
         )
-        graph = RRGraph(params, 3, 3)
+        graph = FabricIR.build(params, 3, 3)
+        kind, xs, ys = graph.kind, graph.xs, graph.ys
+        spans, directions = graph.spans, graph.directions
         entry_of = {}
-        for node in graph.wire_nodes():
-            vertical = node.kind is NodeKind.VWIRE
-            start = node.y if vertical else node.x
-            entry_of[node.id] = start if node.direction > 0 else start + node.span
-        for node in graph.nodes:
-            if node.kind is NodeKind.SINK:
+        for node in graph.nodes_of_kind(*WIRES).tolist():
+            vertical = kind[node] == KIND_VWIRE
+            start = ys[node] if vertical else xs[node]
+            entry_of[node] = start if directions[node] > 0 else start + spans[node]
+        for node in range(graph.num_nodes):
+            if kind[node] == KIND_SINK:
                 continue
-            for dst in graph.adjacency[node.id]:
-                target = graph.nodes[dst]
-                if target.kind not in (NodeKind.HWIRE, NodeKind.VWIRE):
+            for dst in graph.neighbors(node):
+                if kind[dst] not in WIRES:
                     continue
-                if node.kind in (NodeKind.HWIRE, NodeKind.VWIRE):
-                    src_vertical = node.kind is NodeKind.VWIRE
-                    src_start = node.y if src_vertical else node.x
+                if kind[node] in WIRES:
+                    src_vertical = kind[node] == KIND_VWIRE
+                    src_start = ys[node] if src_vertical else xs[node]
                     src_exit = (
-                        src_start + node.span if node.direction > 0 else src_start
+                        src_start + spans[node] if directions[node] > 0 else src_start
                     )
-                    if node.kind == target.kind:
+                    if kind[node] == kind[dst]:
                         # Collinear continuation: exit feeds entry.
                         assert entry_of[dst] == src_exit
 
@@ -94,16 +104,14 @@ class TestFabricReachability:
     def test_every_pin_connected(self, width, side):
         for mode in ("bidir", "unidir"):
             params = ArchParams(channel_width=width, directionality=mode)
-            graph = RRGraph(params, side, side)
-            for node in graph.nodes:
-                if node.kind is NodeKind.OPIN:
-                    assert graph.adjacency[node.id], (mode, "OPIN", node.id)
+            graph = FabricIR.build(params, side, side)
+            for node in graph.nodes_of_kind(KIND_OPIN).tolist():
+                assert graph.neighbors(node), (mode, "OPIN", node)
             # Every IPIN must be fed by at least one wire.
             fed = set()
-            for node in graph.wire_nodes():
-                for dst in graph.adjacency[node.id]:
-                    if graph.nodes[dst].kind is NodeKind.IPIN:
+            for node in graph.nodes_of_kind(*WIRES).tolist():
+                for dst in graph.neighbors(node):
+                    if graph.kind[dst] == KIND_IPIN:
                         fed.add(dst)
-            for node in graph.nodes:
-                if node.kind is NodeKind.IPIN:
-                    assert node.id in fed, (mode, "IPIN", node.id)
+            for node in graph.nodes_of_kind(KIND_IPIN).tolist():
+                assert node in fed, (mode, "IPIN", node)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.arch.rrgraph import NodeKind, RRGraph
+from repro.fabric import KIND_HWIRE, KIND_VWIRE, FabricIR
 from repro.vpr.route import PathFinderRouter, build_route_nets
 
 from .conftest import ARCH
@@ -12,13 +12,13 @@ from .conftest import ARCH
 
 @pytest.fixture(scope="module")
 def graph(placement):
-    return RRGraph(ARCH, placement.grid_width, placement.grid_height)
+    return FabricIR.build(ARCH, placement.grid_width, placement.grid_height)
 
 
 class TestBlockedNodes:
     def test_blocked_nodes_never_used(self, placement, graph, route_nets):
         rng = random.Random(5)
-        wires = [n.id for n in graph.wire_nodes()]
+        wires = graph.nodes_of_kind(KIND_HWIRE, KIND_VWIRE).tolist()
         blocked = set(rng.sample(wires, len(wires) // 20))  # 5% dead wires
         router = PathFinderRouter(graph, blocked_nodes=blocked)
         result = router.route(route_nets)
@@ -30,17 +30,17 @@ class TestBlockedNodes:
         """Relay fabrics with a few percent dead switches remain
         routable — reconfiguration as repair (paper Sec. 1's limited
         endurance, mitigated)."""
-        graph = RRGraph(ARCH, placement.grid_width, placement.grid_height)
+        graph = FabricIR.build(ARCH, placement.grid_width, placement.grid_height)
         rng = random.Random(11)
-        wires = [n.id for n in graph.wire_nodes()]
+        wires = graph.nodes_of_kind(KIND_HWIRE, KIND_VWIRE).tolist()
         blocked = set(rng.sample(wires, len(wires) // 10))  # 10%
         router = PathFinderRouter(graph, blocked_nodes=blocked)
         result = router.route(route_nets)
         assert result.success
 
     def test_blocking_everything_fails(self, placement, route_nets):
-        graph = RRGraph(ARCH, placement.grid_width, placement.grid_height)
-        blocked = {n.id for n in graph.wire_nodes()}
+        graph = FabricIR.build(ARCH, placement.grid_width, placement.grid_height)
+        blocked = set(graph.nodes_of_kind(KIND_HWIRE, KIND_VWIRE).tolist())
         router = PathFinderRouter(graph, blocked_nodes=blocked, max_iterations=3)
         result = router.route(route_nets)
         assert not result.success
@@ -48,7 +48,7 @@ class TestBlockedNodes:
     def test_unblocked_equals_default(self, graph, route_nets):
         default = PathFinderRouter(graph)
         explicit = PathFinderRouter(
-            RRGraph(ARCH, graph.nx, graph.ny), blocked_nodes=set()
+            FabricIR.build(ARCH, graph.nx, graph.ny), blocked_nodes=set()
         )
         a = default.route(route_nets)
         b = explicit.route(route_nets)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.arch.params import ArchParams
-from repro.arch.rrgraph import RRGraph
+from repro.fabric import FabricIR
 from repro.netlist.core import Netlist
 from repro.netlist.generate import GeneratorParams, generate
 from repro.vpr.flow import run_flow
@@ -59,14 +59,14 @@ class TestDegenerateCircuits:
 
 class TestRouterRobustness:
     def test_no_nets_routes_trivially(self):
-        graph = RRGraph(ArchParams(channel_width=8), 3, 3)
+        graph = FabricIR.build(ArchParams(channel_width=8), 3, 3)
         router = PathFinderRouter(graph)
         result = router.route([])
         assert result.success
         assert result.wirelength == 0
 
     def test_single_net_one_hop(self):
-        graph = RRGraph(ArchParams(channel_width=8), 3, 3)
+        graph = FabricIR.build(ArchParams(channel_width=8), 3, 3)
         router = PathFinderRouter(graph)
         net = RouteNet(name="n", source_tile=(0, 0), sink_tiles=[(1, 0)])
         result = router.route([net])
@@ -74,7 +74,7 @@ class TestRouterRobustness:
         assert result.trees["n"].sink_nodes == [graph.sink_of[(1, 0)]]
 
     def test_net_spanning_full_diagonal(self):
-        graph = RRGraph(ArchParams(channel_width=12), 6, 6)
+        graph = FabricIR.build(ArchParams(channel_width=12), 6, 6)
         router = PathFinderRouter(graph)
         net = RouteNet(name="n", source_tile=(0, 0), sink_tiles=[(5, 5)])
         result = router.route([net])
@@ -84,7 +84,7 @@ class TestRouterRobustness:
         """More nets from one tile than OPINs: structurally unroutable;
         the router must terminate with a failure, not hang."""
         params = ArchParams(channel_width=8)
-        graph = RRGraph(params, 3, 3)
+        graph = FabricIR.build(params, 3, 3)
         router = PathFinderRouter(graph, max_iterations=15)
         nets = [
             RouteNet(name=f"n{i}", source_tile=(1, 1), sink_tiles=[(0, 0)])

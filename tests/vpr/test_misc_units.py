@@ -68,14 +68,13 @@ class TestDynamicPowerLocalHops:
 class TestRoutingResultFields:
     def test_wirelength_counts_spans(self, routed):
         result, graph = routed
-        from repro.arch.rrgraph import NodeKind
+        from repro.fabric import KIND_HWIRE, KIND_VWIRE
 
         manual = 0
         for tree in result.trees.values():
             for node_id in tree.nodes:
-                node = graph.nodes[node_id]
-                if node.kind in (NodeKind.HWIRE, NodeKind.VWIRE):
-                    manual += node.span
+                if graph.kind[node_id] in (KIND_HWIRE, KIND_VWIRE):
+                    manual += int(graph.spans[node_id])
         assert result.wirelength == manual
 
     def test_iterations_positive(self, routed):

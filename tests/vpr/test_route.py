@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from repro.arch.rrgraph import NodeKind, RRGraph
+from repro.fabric import KIND_OPIN
 from repro.vpr.route import PathFinderRouter, build_route_nets, route_design
 
 from .conftest import ARCH
@@ -41,7 +41,7 @@ class TestRoutingLegality:
             for node in tree.nodes:
                 occupancy[node] += 1
         for node_id, occ in occupancy.items():
-            assert occ <= graph.node_capacity(graph.nodes[node_id])
+            assert occ <= graph.capacities[node_id]
 
     def test_every_net_routed(self, routed, route_nets):
         result, _graph = routed
@@ -73,7 +73,7 @@ class TestRoutingLegality:
         (each net owns exactly one OPIN)."""
         result, graph = routed
         for tree in result.trees.values():
-            opins = [n for n in tree.nodes if graph.nodes[n].kind is NodeKind.OPIN]
+            opins = [n for n in tree.nodes if graph.kind[n] == KIND_OPIN]
             assert len(opins) == 1
 
     def test_path_alternates_legally(self, routed):
@@ -82,7 +82,7 @@ class TestRoutingLegality:
         for tree in result.trees.values():
             for node, parent in tree.parent.items():
                 if parent >= 0:
-                    assert node in graph.adjacency[parent]
+                    assert node in graph.neighbors(parent)
 
     def test_wirelength_positive(self, routed):
         result, _graph = routed

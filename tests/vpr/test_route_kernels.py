@@ -1,9 +1,9 @@
 """Differential harness: the routing kernels are bit-identical.
 
-The vectorised kernels (`repro.vpr.route_kernels.NumpyKernel`,
-`repro.vpr.route_numba.NumbaKernel`) promise byte-identical
-`RoutingResult`s to the reference Python walk — same trees, same
-parent pointers, same iteration trace, same failures.  That contract
+The vectorised kernel (`repro.vpr.route_kernels.NumpyKernel`)
+promises byte-identical `RoutingResult`s to the reference Python walk
+— same trees, same parent pointers, same iteration trace, same
+failures.  That contract
 is what lets the kernel stay *execution policy* (never part of store
 cache keys or artefact digests), so it is enforced here, not assumed:
 
@@ -11,18 +11,13 @@ cache keys or artefact digests), so it is enforced here, not assumed:
 * a routing-*failure* case (both kernels must fail identically —
   same overused count, same convergence trace),
 * defect cases (blocked nodes, blocked directed edges),
-* a hypothesis property suite over generated netlists,
-* the numba kernel exercised in pure-python mode (its ``@njit``
-  decorator degrades to the identity when numba is absent), so the
-  compiled code path is covered bit-for-bit even without numba.
+* a hypothesis property suite over generated netlists.
 
-Kernel *selection* (`resolve_kernel`: explicit > env > auto, with the
-numba -> numpy -> python fallback ladder) is tested alongside.
+Kernel *selection* (`resolve_kernel`: an explicit kernel, else numpy
+on large graphs and the reference on small ones) is tested alongside.
 """
 
 import dataclasses
-import sys
-import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,16 +25,13 @@ from hypothesis import given, settings, strategies as st
 from repro.arch.params import ArchParams
 from repro.fabric.build import KIND_HWIRE, KIND_VWIRE
 from repro.netlist.generate import GeneratorParams, generate
-from repro.vpr import route_numba
 from repro.vpr.pack import pack
 from repro.vpr.place import place
 from repro.vpr.route import PathFinderRouter, build_route_nets, route_design
 from repro.vpr.route_kernels import (
-    ENV_VAR,
     KERNELS,
     NUMPY_MIN_NODES,
     make_kernel,
-    numba_available,
     resolve_kernel,
 )
 
@@ -134,20 +126,6 @@ class TestDifferentialGrid:
                 assert (parent, node) not in set(blocked)
         assert fingerprint(vec) == fingerprint(ref)
 
-    def test_numba_kernel_matches_reference(self, placement):
-        """The numba kernel's search — run pure-python when numba is
-        absent, compiled when present — is bit-identical too."""
-        ref, _ = route_design(placement, ARCH, kernel="python")
-        from repro.fabric import get_fabric
-
-        graph = get_fabric(
-            ARCH, placement.grid_width, placement.grid_height)
-        router = PathFinderRouter(graph, kernel="numpy")
-        router._kernel = route_numba.NumbaKernel(router)
-        router.kernel = "numba"
-        nb = router.route(build_route_nets(placement))
-        assert fingerprint(nb) == fingerprint(ref)
-
     def test_counters_advance(self, placement):
         from repro.fabric import get_fabric
 
@@ -174,58 +152,29 @@ class TestKernelProperties:
 
 
 class TestKernelSelection:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "numpy")
+    def test_explicit_wins(self):
         assert resolve_kernel("python", 10**6) == "python"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "numpy")
-        assert resolve_kernel(None, 10) == "numpy"
-
-    def test_empty_env_means_auto(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "")
-        monkeypatch.setitem(sys.modules, "numba", None)
-        assert resolve_kernel(None, NUMPY_MIN_NODES) == "numpy"
+        assert resolve_kernel("numpy", 10) == "numpy"
 
     def test_unknown_raises(self):
         with pytest.raises(ValueError, match="unknown route kernel"):
             resolve_kernel("fortran", 10)
 
-    def test_unknown_env_raises(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "fortran")
-        with pytest.raises(ValueError, match="unknown route kernel"):
-            resolve_kernel(None, 10)
-
-    def test_auto_without_numba(self, monkeypatch):
-        """numba absent: auto takes numpy on big graphs, the reference
-        on small ones (below NUMPY_MIN_NODES the vector setup costs
-        more than the walk it saves)."""
-        monkeypatch.setitem(sys.modules, "numba", None)
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert not numba_available()
+    def test_auto_by_graph_size(self):
+        """No kernel given: numpy on big graphs, the reference on small
+        ones (below NUMPY_MIN_NODES the vector setup costs more than
+        the walk it saves)."""
         assert resolve_kernel(None, NUMPY_MIN_NODES) == "numpy"
         assert resolve_kernel(None, NUMPY_MIN_NODES - 1) == "python"
 
-    def test_auto_with_numba(self, monkeypatch):
-        monkeypatch.setitem(sys.modules, "numba", types.ModuleType("numba"))
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert resolve_kernel(None, 10) == "numba"
-
-    def test_explicit_numba_unavailable_raises(self, monkeypatch):
-        monkeypatch.setitem(sys.modules, "numba", None)
-        with pytest.raises(RuntimeError, match="numba"):
-            resolve_kernel("numba", 10)
-
-    def test_router_exposes_resolved_kernel(self, placement, monkeypatch):
+    def test_router_exposes_resolved_kernel(self, placement):
         from repro.fabric import get_fabric
 
         graph = get_fabric(ARCH, placement.grid_width, placement.grid_height)
         assert PathFinderRouter(graph, kernel="numpy").kernel == "numpy"
-        monkeypatch.setenv(ENV_VAR, "python")
-        assert PathFinderRouter(graph).kernel == "python"
-        monkeypatch.setenv(ENV_VAR, "fortran")
+        assert PathFinderRouter(graph).kernel == resolve_kernel(None, graph.num_nodes)
         with pytest.raises(ValueError):
-            PathFinderRouter(graph)
+            PathFinderRouter(graph, kernel="fortran")
 
     def test_make_kernel_names(self, placement):
         from repro.fabric import get_fabric
@@ -233,8 +182,6 @@ class TestKernelSelection:
         graph = get_fabric(ARCH, placement.grid_width, placement.grid_height)
         router = PathFinderRouter(graph, kernel="python")
         for name in KERNELS:
-            # "numba" instantiates fine even without numba installed:
-            # its decorator degrades to the identity (pure-python run).
             assert make_kernel(name, router).name == name
         with pytest.raises(ValueError):
             make_kernel("fortran", router)

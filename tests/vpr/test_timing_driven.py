@@ -3,8 +3,8 @@
 import pytest
 
 from repro.arch.params import ArchParams
-from repro.arch.rrgraph import RRGraph
 from repro.core.variants import baseline_variant
+from repro.fabric import KIND_HWIRE, KIND_VWIRE, FabricIR
 from repro.netlist.generate import GeneratorParams, generate
 from repro.vpr.flow import run_flow, run_timing_driven_flow
 from repro.vpr.route import PathFinderRouter
@@ -44,24 +44,24 @@ class TestDelayCosts:
             estimate_hop_delay(fabric, 0.0)
 
     def test_per_node_costs_shape(self, fabric):
-        graph = RRGraph(PARAMS, 4, 4)
+        graph = FabricIR.build(PARAMS, 4, 4)
         costs = node_delay_costs(graph, fabric)
         assert len(costs) == graph.num_nodes
         assert all(c >= 0 for c in costs)
 
     def test_full_span_wire_normalised_to_base_cost(self, fabric):
-        graph = RRGraph(PARAMS, 8, 8)
+        graph = FabricIR.build(PARAMS, 8, 8)
         costs = node_delay_costs(graph, fabric)
         full_span = [
-            costs[n.id]
-            for n in graph.wire_nodes()
-            if n.span == PARAMS.segment_length
+            costs[n]
+            for n in graph.nodes_of_kind(KIND_HWIRE, KIND_VWIRE).tolist()
+            if graph.spans[n] == PARAMS.segment_length
         ]
         assert full_span
         assert full_span[0] == pytest.approx(PARAMS.segment_length)
 
     def test_router_rejects_mismatched_costs(self, fabric):
-        graph = RRGraph(PARAMS, 3, 3)
+        graph = FabricIR.build(PARAMS, 3, 3)
         with pytest.raises(ValueError):
             PathFinderRouter(graph, delay_costs=[1.0, 2.0])
 
@@ -88,7 +88,7 @@ class TestTimingDrivenFlow:
                 occupancy[node] += 1
         graph = td_flow.graph
         for node_id, occ in occupancy.items():
-            assert occ <= graph.node_capacity(graph.nodes[node_id])
+            assert occ <= graph.capacities[node_id]
 
     def test_zero_sta_passes_is_routability(self, circuit, fabric):
         flow, report = run_timing_driven_flow(circuit, PARAMS, fabric, sta_passes=0)
