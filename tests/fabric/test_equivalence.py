@@ -11,7 +11,7 @@ grid of architectures so the build cannot drift silently.
 import pytest
 
 from repro.arch.params import ArchParams
-from repro.fabric import KIND_NAMES, FabricIR, as_fabric
+from repro.fabric import KIND_HWIRE, KIND_NAMES, KIND_VWIRE, FabricIR, as_fabric
 
 from .reference_rrgraph import RRGraph, to_fabric
 
@@ -62,6 +62,13 @@ class TestNodeEquivalence:
             assert ir.base_costs[node.id] == legacy.base_cost(node)
             assert ir.capacities[node.id] == legacy.node_capacity(node)
 
+    def test_wire_nodes_match_kind_query(self, pair):
+        """`nodes_of_kind(KIND_HWIRE, KIND_VWIRE)` lists the wires the
+        reference's `wire_nodes()` does, in the same order."""
+        legacy, ir = pair
+        wires = ir.nodes_of_kind(KIND_HWIRE, KIND_VWIRE)
+        assert wires.tolist() == [node.id for node in legacy.wire_nodes()]
+
 
 class TestAdjacencyEquivalence:
     def test_csr_matches_adjacency_in_order(self, pair):
@@ -105,6 +112,13 @@ class TestConversionEquivalence:
         assert (converted.edge_switch == ir.edge_switch).all()
         assert (converted.source_table == ir.source_table).all()
         assert (converted.sink_table == ir.sink_table).all()
+
+    def test_as_fabric_rejects_reference(self, pair):
+        """`as_fabric` converts nothing: the reference graph is a
+        `TypeError` naming `FabricIR`."""
+        legacy, _ = pair
+        with pytest.raises(TypeError, match="FabricIR"):
+            as_fabric(legacy)
 
     def test_as_fabric_passthrough(self, pair):
         _, ir = pair

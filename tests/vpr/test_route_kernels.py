@@ -167,6 +167,19 @@ class TestKernelSelection:
         assert resolve_kernel(None, NUMPY_MIN_NODES) == "numpy"
         assert resolve_kernel(None, NUMPY_MIN_NODES - 1) == "python"
 
+    @pytest.mark.parametrize("value", ["python", "numpy", "fortran"])
+    def test_environment_is_ignored(self, monkeypatch, value):
+        """The pick depends on the graph size only: the retired
+        ``REPRO_ROUTE_KERNEL`` variable changes nothing."""
+        monkeypatch.setenv("REPRO_ROUTE_KERNEL", value)
+        assert resolve_kernel(None, NUMPY_MIN_NODES) == "numpy"
+        assert resolve_kernel(None, NUMPY_MIN_NODES - 1) == "python"
+
+    def test_numba_is_not_a_kernel(self):
+        assert "numba" not in KERNELS
+        with pytest.raises(ValueError, match="unknown route kernel"):
+            resolve_kernel("numba", 10)
+
     def test_router_exposes_resolved_kernel(self, placement):
         from repro.fabric import get_fabric
 
