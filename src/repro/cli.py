@@ -741,18 +741,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         return 2
     workers = args.workers if args.workers is not None else spec.workers
     live = getattr(args, "live", False)
-    verify_stream = getattr(args, "verify_stream", False)
     ingest_db = getattr(args, "db", None)
-    metrics_out = args.metrics_out
-    if ingest_db and not metrics_out:
+    if ingest_db and not args.metrics_out:
         print("error: --db needs --metrics-out (nothing to ingest)",
               file=sys.stderr)
         return 2
-    if verify_stream and not metrics_out:
-        # Byte-comparison needs the merged shard file to compare against.
-        import tempfile
-        metrics_out = os.path.join(
-            tempfile.mkdtemp(prefix="repro-stream-"), "run.jsonl")
 
     def progress(result, done, total):
         print(f"[{done}/{total}] {result.key}: {result.status} "
@@ -762,11 +755,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
     batch = run_batch(
         spec, workers=workers, shard_dir=args.shard_dir,
-        metrics_out=metrics_out,
+        metrics_out=args.metrics_out,
         # The live table replaces the per-job progress lines.
         progress=None if live else progress,
-        live=(live or verify_stream
-              or getattr(args, "stall_after", None) is not None),
+        live=live or getattr(args, "stall_after", None) is not None,
         profile=getattr(args, "profile", False),
         stall_after_s=getattr(args, "stall_after", None),
         stall_kill=getattr(args, "stall_kill", False),
@@ -778,8 +770,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         **batch.summary(),
         "results": [r.to_dict() for r in batch.results],
     }
-    if batch.stream_identical is not None:
-        doc["stream_identical"] = batch.stream_identical
     if batch.collector is not None:
         doc["telemetry_dropped_events"] = batch.collector.dropped_events()
 
@@ -829,16 +819,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         print(f"telemetry warehouse {ingest_db}: run "
               f"#{batch.ingest.run_id} {batch.ingest.digest[:12]} {state}",
               file=sys.stderr)
-    if batch.stream_identical is not None:
-        dropped = batch.collector.dropped_events() if batch.collector else 0
-        print(f"live stream vs shard merge: "
-              f"{'byte-identical' if batch.stream_identical else 'DIVERGED'}"
-              + (f" ({dropped} events dropped)" if dropped else ""),
-              file=sys.stderr)
     if deterministic is False:
         return 3
-    if verify_stream and not batch.stream_identical:
-        return 4
     return 0 if batch.ok else 1
 
 
@@ -1260,7 +1242,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="relaunch budget per job after a worker crash")
         p.add_argument("--shard-dir", metavar="PATH",
                        help="directory for per-job telemetry/result shards "
-                            "(default: a fresh temp dir)")
+                            "(default: a temp dir, removed when the batch ends)")
         p.add_argument("--profile", action="store_true",
                        help="attach the sampling profiler to every job; "
                             "collapsed stacks land on each job's root span "
@@ -1271,10 +1253,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--stall-kill", action="store_true",
                        help="soft-kill flagged stalled workers with status "
                             "'stalled' instead of waiting for --timeout")
-        p.add_argument("--verify-stream", action="store_true",
-                       help="assemble the run model from the live stream "
-                            "too and fail (exit 4) unless it is "
-                            "byte-identical to the merged shards")
         p.add_argument("--db", metavar="PATH", default=None,
                        help="ingest the merged telemetry into this "
                             "warehouse (needs --metrics-out; see repro db)")

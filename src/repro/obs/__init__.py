@@ -21,8 +21,10 @@ Modules:
 * `registry` — named get-or-create `MetricsRegistry`
 * `export`   — run manifest + JSON/JSONL writers (`export_run`)
 * `shards`   — batch-worker telemetry shard merge (`merge_shards`)
-* `stream`   — live worker -> supervisor event plane: publishers,
-  heartbeats, `TelemetryCollector`, cross-process `TraceContext`
+* `stream`   — live worker -> supervisor progress plane: publishers,
+  heartbeats, `TelemetryCollector` (live table, stall detection,
+  serve fan-out), cross-process `TraceContext`; the run model itself
+  comes only from the shard merge
 * `profile`  — dependency-free sampling profiler (`--profile`)
 * `live`     — in-terminal live batch table (`repro watch`)
 * `logging`  — structured stderr logging (`setup_logging`, `kv`)
@@ -53,12 +55,7 @@ from .registry import (
     set_registry,
     use_registry,
 )
-from .shards import (
-    assemble_run,
-    merge_metric_snapshots,
-    merge_shard_records,
-    merge_shards,
-)
+from .shards import merge_metric_snapshots, merge_shards
 from .stream import (
     EVENT_SCHEMA_VERSION,
     NULL_PUBLISHER,
@@ -93,7 +90,6 @@ from . import store
 __all__ = [
     "analyze",
     "store",
-    "assemble_run",
     "Counter",
     "EVENT_SCHEMA_VERSION",
     "EventPublisher",
@@ -125,7 +121,6 @@ __all__ = [
     "kv",
     "merge_metric_snapshots",
     "merge_profiles",
-    "merge_shard_records",
     "merge_shards",
     "peak_rss_kb",
     "profiled",

@@ -19,15 +19,15 @@ approximate percentiles by rank-walking the summed buckets (clamped
 to the exact merged min/max).  Snapshots without buckets (older
 shards, hand-written fixtures) degrade to null percentiles as before.
 
-`assemble_run` is the single assembly path shared with the live
-collector (`repro.obs.stream`): a run model built from the live event
-stream is byte-identical to one merged post-hoc from shard files.
+`merge_shards` is the only producer of a batch's run model; the live
+event stream (`repro.obs.stream`) reports progress and never carries
+span or metrics records.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from .export import read_jsonl, write_jsonl
 
@@ -166,18 +166,35 @@ def _extreme(a: object, b: object, pick) -> Optional[float]:
     return pick(values) if values else None
 
 
-def merge_shard_records(
-    shards: Iterable[List[Dict[str, object]]],
-) -> Tuple[List[Dict[str, object]], Dict[str, Dict[str, object]]]:
-    """(span records, merged metrics snapshot) from raw shard records.
+def merge_shards(
+    paths: Iterable[str],
+    manifest: Dict[str, object],
+    out_path: str,
+) -> int:
+    """Merge shard files into one schema-v1 run file; records written.
 
-    Shard-level manifests are dropped (the batch driver writes the one
+    Shard-level manifests are dropped (``manifest`` is the one
     authoritative manifest); unknown record types are dropped too so a
     merged file never triggers reader warnings.
+
+    Tolerates the debris a crashed or killed worker leaves behind:
+    missing shard files are skipped (the job may never have started
+    writing one), and partial/truncated lines — including a half-flushed
+    final line with broken UTF-8 — are dropped per line and counted
+    into a ``telemetry.dropped_events`` counter rather than poisoning
+    the merged run.  The counter is omitted when zero so clean runs
+    are unaffected.
     """
     spans: List[Dict[str, object]] = []
     snapshots: List[Dict[str, Dict[str, object]]] = []
-    for records in shards:
+    dropped = 0
+    for path in paths:
+        try:
+            records, bad_lines = read_jsonl(path, strict=False,
+                                            return_errors=True)
+        except OSError:
+            continue
+        dropped += len(bad_lines)
         for record in records:
             if not isinstance(record, dict):
                 continue
@@ -186,57 +203,13 @@ def merge_shard_records(
                 spans.append(record)
             elif rtype == "metrics" and isinstance(record.get("metrics"), dict):
                 snapshots.append(record["metrics"])
-    return spans, merge_metric_snapshots(snapshots)
-
-
-def assemble_run(
-    manifest: Dict[str, object],
-    shards: Iterable[List[Dict[str, object]]],
-    dropped_events: int = 0,
-) -> List[Dict[str, object]]:
-    """One schema-v1 record sequence from per-job shard record lists.
-
-    The single assembly path shared by the post-hoc `merge_shards` and
-    the live collector (`repro.obs.stream.TelemetryCollector`) — which
-    is what makes a live-collected run model byte-identical to the
-    shard merge of the same run.  ``dropped_events`` > 0 surfaces as a
-    ``telemetry.dropped_events`` counter in the merged metrics record;
-    it is omitted when zero so clean runs are unaffected.
-    """
-    spans, metrics = merge_shard_records(shards)
-    if dropped_events:
+    metrics = merge_metric_snapshots(snapshots)
+    if dropped:
         metrics["telemetry.dropped_events"] = {
             "kind": "counter",
-            "value": float(dropped_events),
+            "value": float(dropped),
         }
-    records: List[Dict[str, object]] = [manifest, *spans]
+    out: List[Dict[str, object]] = [manifest, *spans]
     if metrics:
-        records.append({"type": "metrics", "metrics": metrics})
-    return records
-
-
-def merge_shards(
-    paths: Iterable[str],
-    manifest: Dict[str, object],
-    out_path: str,
-) -> int:
-    """Merge shard files into one schema-v1 run file; records written.
-
-    Tolerates the debris a crashed or killed worker leaves behind:
-    missing shard files are skipped (the job may never have started
-    writing one), and partial/truncated lines — including a half-flushed
-    final line with broken UTF-8 — are dropped per line and counted
-    into a ``telemetry.dropped_events`` counter rather than poisoning
-    the merged run.
-    """
-    shards: List[List[Dict[str, object]]] = []
-    dropped = 0
-    for path in paths:
-        try:
-            records, bad_lines = read_jsonl(path, strict=False,
-                                            return_errors=True)
-        except OSError:
-            continue
-        shards.append(records)
-        dropped += len(bad_lines)
-    return write_jsonl(out_path, assemble_run(manifest, shards, dropped))
+        out.append({"type": "metrics", "metrics": metrics})
+    return write_jsonl(out_path, out)

@@ -1,13 +1,14 @@
 """Live telemetry streaming: the worker -> supervisor event plane.
 
-Batch workers publish their telemetry as it happens — span opens and
-closes, per-stage progress deltas (PathFinder iterations, Wmin probes,
+Batch workers publish progress as it happens — span opens and closes,
+per-stage progress deltas (PathFinder iterations, Wmin probes,
 repair-ladder rungs), periodic heartbeats — over a multiprocessing
-queue to a supervisor-side `TelemetryCollector`.  The collector folds
-the stream into the *same* schema-v1 run model the post-hoc shard
-merge produces (`repro.obs.shards.assemble_run` is the single shared
-assembly path), so ``repro report`` / ``repro diff`` consume a live
-run and a replayed one identically — byte for byte.
+queue to a supervisor-side `TelemetryCollector`.  The stream feeds the
+live table (`repro.obs.live`), stall detection and `repro serve`'s
+``/events`` fan-out; it is *not* a second source of the run model.
+The schema-v1 run file is assembled in one place only, the post-hoc
+shard merge (`repro.obs.shards.merge_shards`), because the stream is
+lossy by design and non-live batches need the shard files anyway.
 
 Wire format (one plain-JSON dict per event, picklable, versioned):
 
@@ -17,14 +18,11 @@ Wire format (one plain-JSON dict per event, picklable, versioned):
   ``index`` (spec order), ``attempt``;
 * ``span_open``  — ``span_id``, ``name``, ``parent_id``;
 * ``span_close`` — ``span_id``, ``name``, ``status``, ``duration_s``;
-  a *root* close additionally carries ``record``, the exact
-  `span_to_dict` tree the worker writes to its shard — replaying the
-  stream is replaying the shard;
-* ``progress``   — ``kind`` plus free-form fields (live display only);
-* ``metric``     — ``name``/``value`` delta (live display only);
+* ``progress``   — ``kind`` plus free-form fields;
+* ``metric``     — ``name``/``value`` delta;
 * ``heartbeat``  — ``stage`` (innermost open span), ``rss_kb``;
-* ``bye``        — last event: ``status``, final ``metrics`` registry
-  snapshot, publisher-side ``dropped`` count.
+* ``bye``        — last event: ``status`` and the publisher-side
+  ``dropped`` count.
 
 Publishing is strictly best-effort: a full queue drops the event and
 bumps a counter rather than ever blocking a P&R run, and the default
@@ -49,14 +47,12 @@ import threading
 import time
 from typing import Dict, Iterator, List, Optional
 
-from .export import span_to_dict
-from .shards import assemble_run
 from .trace import Span, Tracer, peak_rss_kb
 
 #: Bump when the event envelope or a payload shape changes
 #: incompatibly.  Independent of the run-model SCHEMA_VERSION: the
 #: stream is a transport, the run model is the artefact.
-EVENT_SCHEMA_VERSION = 1
+EVENT_SCHEMA_VERSION = 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -147,15 +143,9 @@ class EventPublisher:
         self.emit("span_open", span_id=span.span_id, name=span.name,
                   parent_id=span.parent_id)
 
-    def span_close(self, span: Span,
-                   record: Optional[Dict[str, object]] = None) -> None:
-        fields: Dict[str, object] = {
-            "span_id": span.span_id, "name": span.name,
-            "status": span.status, "duration_s": span.duration_s,
-        }
-        if record is not None:
-            fields["record"] = record
-        self.emit("span_close", **fields)
+    def span_close(self, span: Span) -> None:
+        self.emit("span_close", span_id=span.span_id, name=span.name,
+                  status=span.status, duration_s=span.duration_s)
 
     def progress(self, kind: str, **fields: object) -> None:
         self.emit("progress", kind=kind, **fields)
@@ -167,9 +157,8 @@ class EventPublisher:
                   rss_kb: Optional[int] = None) -> None:
         self.emit("heartbeat", stage=stage, rss_kb=rss_kb)
 
-    def bye(self, status: str = "ok",
-            metrics: Optional[Dict[str, Dict[str, object]]] = None) -> None:
-        self.emit("bye", status=status, metrics=metrics, dropped=self.dropped)
+    def bye(self, status: str = "ok") -> None:
+        self.emit("bye", status=status, dropped=self.dropped)
 
 
 class NullPublisher:
@@ -192,7 +181,7 @@ class NullPublisher:
     def span_open(self, span) -> None:
         pass
 
-    def span_close(self, span, record=None) -> None:
+    def span_close(self, span) -> None:
         pass
 
     def progress(self, kind: str, **fields: object) -> None:
@@ -204,7 +193,7 @@ class NullPublisher:
     def heartbeat(self, stage=None, rss_kb=None) -> None:
         pass
 
-    def bye(self, status: str = "ok", metrics=None) -> None:
+    def bye(self, status: str = "ok") -> None:
         pass
 
 
@@ -240,9 +229,7 @@ class StreamingTracer(Tracer):
 
     The recorded span forest is exactly what a plain `Tracer` with the
     same trace context records — streaming is a side channel, not a
-    different data model.  A root span's close event carries the full
-    `span_to_dict` record, so the collector ends up holding the same
-    records the worker writes to its telemetry shard.
+    different data model.
     """
 
     def __init__(self, publisher: EventPublisher,
@@ -259,10 +246,7 @@ class StreamingTracer(Tracer):
 
     def _close(self, span: Span) -> None:
         super()._close(span)
-        if not self._stack:  # a root closed: ship the full shard record
-            self.publisher.span_close(span, record=span_to_dict(span))
-        else:
-            self.publisher.span_close(span)
+        self.publisher.span_close(span)
 
 
 class HeartbeatThread(threading.Thread):
@@ -325,8 +309,6 @@ class JobLiveState:
     progress: Dict[str, Dict[str, object]] = dataclasses.field(
         default_factory=dict)
     live_metrics: Dict[str, object] = dataclasses.field(default_factory=dict)
-    records: List[Dict[str, object]] = dataclasses.field(default_factory=list)
-    metrics: Optional[Dict[str, Dict[str, object]]] = None
 
     def heartbeat_age_s(self, now: Optional[float] = None) -> float:
         now = time.monotonic() if now is None else now
@@ -338,13 +320,9 @@ class TelemetryCollector:
 
     Feed it events (`pump` a queue, or `handle` one at a time) and it
     maintains per-job live state for display (`jobs`), detects stalls
-    (`stalled`), and — once workers said ``bye`` — reassembles the
-    schema-v1 run model (`run_records`) through the same
-    `assemble_run` path the post-hoc shard merge uses.
-
-    Retries reset a job's state on the fresh attempt's ``hello``: the
-    failed attempt's partial records must not leak into the run model,
-    mirroring how the retry overwrites the shard file.
+    (`stalled`), counts lost events (`dropped_events`) and fans every
+    event out to subscribers.  Retries reset a job's state on the
+    fresh attempt's ``hello``.
     """
 
     def __init__(self) -> None:
@@ -457,9 +435,6 @@ class TelemetryCollector:
             if state.stack and state.stack[-1] == name:
                 state.stack.pop()
             state.stage = state.stack[-1] if state.stack else None
-            record = event.get("record")
-            if isinstance(record, dict):
-                state.records.append(record)
         elif ev == "progress":
             kind = event.get("kind")
             if isinstance(kind, str):
@@ -480,8 +455,6 @@ class TelemetryCollector:
             state.bye_seen = True
             state.status = str(event.get("status", "ok"))
             state.worker_dropped = int(event.get("dropped", 0) or 0)
-            metrics = event.get("metrics")
-            state.metrics = metrics if isinstance(metrics, dict) else None
         else:
             self.malformed += 1
             return
@@ -497,30 +470,14 @@ class TelemetryCollector:
             state.done = True
             state.status = status
 
-    def inject_records(self, key: str, records: List[Dict[str, object]],
-                       status: str = "ok", index: int = -1) -> None:
-        """Adopt shard-equivalent records for a job that never ran.
+    def mark_cached(self, key: str, status: str, index: int = -1) -> None:
+        """Settle a result-store hit, which no worker ever streams for.
 
-        A result-store cache hit skips execution, so no worker ever
-        streams for the job — but the run model must still contain its
-        (synthetic) span and metrics, byte-identical to the shard the
-        supervisor writes on its behalf.  This installs exactly those
-        records as if the worker had streamed them and said ``bye``,
-        and fans a synthetic ``cached`` event out to subscribers so
-        live watchers see the hit too.
+        Marks the job done with ``status`` and fans a synthetic
+        ``cached`` event out to subscribers so live watchers see the
+        hit too.
         """
         state = self.expect(key, index)
-        state.records = [
-            {k: v for k, v in record.items() if k != "type"}
-            for record in records
-            if isinstance(record, dict) and record.get("type") == "span"
-        ]
-        state.metrics = None
-        for record in records:
-            if isinstance(record, dict) and record.get("type") == "metrics":
-                metrics = record.get("metrics")
-                if isinstance(metrics, dict):
-                    state.metrics = metrics
         state.status = status
         state.stage = None
         state.done = True
@@ -542,27 +499,3 @@ class TelemetryCollector:
         drops reported by workers + malformed)."""
         per_job = sum(s.dropped + s.worker_dropped for s in self.jobs.values())
         return per_job + self.malformed
-
-    def job_records(self, key: str) -> List[Dict[str, object]]:
-        """One job's shard-equivalent records (spans + metrics).
-
-        Empty until the job's ``bye`` arrives: a crashed, killed or
-        stalled attempt never writes its shard file, so its streamed
-        partial records must equally stay out of the run model.
-        """
-        state = self.jobs.get(key)
-        if state is None or not state.bye_seen:
-            return []
-        records: List[Dict[str, object]] = [
-            {"type": "span", **record} for record in state.records
-        ]
-        if state.metrics:
-            records.append({"type": "metrics", "metrics": state.metrics})
-        return records
-
-    def run_records(self, manifest: Dict[str, object],
-                    job_keys: List[str]) -> List[Dict[str, object]]:
-        """The full schema-v1 run model, reassembled from the stream."""
-        shards = [self.job_records(key) for key in job_keys]
-        return assemble_run(manifest, shards,
-                            dropped_events=self.dropped_events())

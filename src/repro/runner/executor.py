@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import multiprocessing
 import os
+import shutil
 import tempfile
 import time
 from typing import Callable, Dict, List, Optional, Set, Tuple
@@ -55,7 +55,7 @@ from ..obs import (
     write_jsonl,
 )
 from .spec import BatchSpec, JobResult, JobSpec
-from .worker import finish_job_stream, job_process_main, prewarm_job, run_job
+from .worker import job_process_main, prewarm_job, run_job
 
 _log = get_logger("runner.executor")
 
@@ -98,12 +98,10 @@ class BatchResult:
         workers: Worker processes actually used.
         metrics_path: Merged schema-v1 run file, when telemetry was
             requested.
-        shard_dir: Where per-job shards/results were written.
+        shard_dir: Where per-job shards/results were written; None
+            when `run_batch` made a temporary directory itself (it is
+            removed before returning).
         collector: The live `TelemetryCollector`, when ``live`` was on.
-        stream_identical: Whether the live-collected run model matched
-            the post-hoc shard merge byte for byte (None when the
-            comparison didn't run — needs both ``live`` and
-            ``metrics_out``).
         ingest: The warehouse `IngestResult` when ``ingest_db`` was
             given (None otherwise).
         cached: Keys served straight from the result store (their jobs
@@ -119,7 +117,6 @@ class BatchResult:
     metrics_path: Optional[str] = None
     shard_dir: Optional[str] = None
     collector: Optional[TelemetryCollector] = None
-    stream_identical: Optional[bool] = None
     ingest: Optional[object] = None
     cached: List[str] = dataclasses.field(default_factory=list)
     store_stats: Optional[Dict[str, int]] = None
@@ -193,8 +190,8 @@ def _job_trace(trace_id: str, parent_span_id: Optional[str],
                         span_prefix=f"j{index}.")
 
 
-def _cached_job_records(spec: JobSpec, result: JobResult,
-                        trace: TraceContext) -> List[Dict[str, object]]:
+def _cached_shard_records(spec: JobSpec, result: JobResult,
+                          trace: TraceContext) -> List[Dict[str, object]]:
     """Shard-equivalent records for a store cache hit.
 
     A hit skips execution, but reports and the warehouse still expect
@@ -268,8 +265,8 @@ def _run_serial(
                                attempts=attempt)
             records = []
         write_jsonl(_shard_path(shard_dir, index), records or [])
-        if records:
-            finish_job_stream(publisher, result, records)
+        if records and publisher is not None:
+            publisher.bye(status=result.status)
         if collector is not None:
             collector.pump(sink)
             collector.mark_done(job.key, result.status)
@@ -447,8 +444,9 @@ def run_batch(
     Args:
         spec: The job matrix + execution policy.
         workers: Override ``spec.workers``.
-        shard_dir: Directory for per-job shard/result files (a
-            temporary directory is created when omitted).
+        shard_dir: Directory for per-job shard/result files (when
+            omitted, a temporary directory is created and removed
+            again before returning).
         metrics_out: Write the merged schema-v1 telemetry run here.
         manifest_extra: Extra manifest fields for the merged run.
         progress: Callback ``(result, done, total)`` per finished job.
@@ -486,173 +484,146 @@ def run_batch(
     if ingest_db and not metrics_out:
         raise ValueError("ingest_db needs metrics_out (nothing to ingest)")
     workers = min(workers, len(spec.jobs))
-    if shard_dir is None:
+    own_shard_dir = shard_dir is None
+    if own_shard_dir:
         shard_dir = tempfile.mkdtemp(prefix="repro-batch-")
     os.makedirs(shard_dir, exist_ok=True)
-    collector = TelemetryCollector() if live else None
-    if live and display is None:
-        display = LiveDisplay(stall_after_s=stall_after_s)
-    if isinstance(store, str):
-        from ..store import ResultStore
-
-        store = ResultStore(store)
-
-    start = time.perf_counter()
-    # Store precheck, before any prewarm: a warm store turns the whole
-    # batch into lookups, so the (expensive) parent-side warm-up must
-    # only cover jobs that will actually execute.
-    cached: Dict[int, JobResult] = {}
-    if store is not None:
-        for index, job in enumerate(spec.jobs):
-            hit = store.get(job)
-            if hit is not None:
-                cached[index] = hit
-    if prewarm:
-        seen = set()
-        for index, job in enumerate(spec.jobs):
-            warm_key = (job.circuit, job.scale, job.width, job.arch)
-            if warm_key in seen or job.fault or index in cached:
-                continue
-            seen.add(warm_key)
-            prewarm_job(job)
-    _log.info("batch start %s", kv(jobs=len(spec.jobs), workers=workers,
-                                   shard_dir=shard_dir, live=live,
-                                   cached=len(cached)))
-    trace_id = f"batch-{spec.digest[:12]}"
-    with get_tracer().span("batch.run", trace=trace_id, jobs=len(spec.jobs),
-                           workers=workers, cached=len(cached)) as batch_span:
-        parent_span_id = batch_span.span_id
-        # Settle cache hits first, in spec order: synthetic shard on
-        # disk, identical records injected into the live collector, so
-        # the post-hoc merge and the stream agree byte for byte.
-        done = 0
-        for index in sorted(cached):
-            job, result = spec.jobs[index], cached[index]
-            records = _cached_job_records(
-                job, result, _job_trace(trace_id, parent_span_id, index))
-            write_jsonl(_shard_path(shard_dir, index), records)
-            if collector is not None:
-                collector.inject_records(job.key, records,
-                                         status=result.status, index=index)
-                if display is not None:
-                    display.tick(collector)
-            done += 1
-            if progress is not None:
-                progress(result, done, len(spec.jobs))
-        skip = set(cached)
-        workers = max(1, min(workers, len(spec.jobs) - len(cached))) \
-            if len(cached) < len(spec.jobs) else 1
-        if workers == 1:
-            executed = _run_serial(spec, shard_dir, progress,
-                                   trace_id, parent_span_id,
-                                   collector=collector, display=display,
-                                   profile=profile, heartbeat_s=heartbeat_s,
-                                   store=store, skip=skip, done_base=done,
-                                   backoff_base_s=retry_backoff_s)
-        else:
-            executed = _run_pool(spec, shard_dir, workers, progress,
-                                 trace_id, parent_span_id,
-                                 collector=collector, display=display,
-                                 profile=profile, heartbeat_s=heartbeat_s,
-                                 stall_after_s=stall_after_s,
-                                 stall_kill=stall_kill,
-                                 store_doc=store.to_doc() if store else None,
-                                 skip=skip, done_base=done,
-                                 backoff_base_s=retry_backoff_s)
-    by_index = dict(cached)
-    by_index.update(executed)
-    results = [by_index[index] for index in range(len(spec.jobs))]
-    published = 0
-    if store is not None:
-        for index, result in executed.items():
-            try:
-                if store.put(spec.jobs[index], result):
-                    published += 1
-            except (OSError, ValueError):  # pragma: no cover - a full
-                # disk must degrade to an unwarmed store, not a failure
-                pass
-        if store.max_bytes is not None or store.max_entries is not None:
-            store.gc()
-    wall_s = time.perf_counter() - start
-    if display is not None and collector is not None:
-        display.close(collector)
-
-    store_stats = None
-    if store is not None:
-        store_stats = {"hits": len(cached),
-                       "misses": len(executed),
-                       "published": published}
-    metrics_path = None
-    stream_identical = None
-    ingest = None
-    if metrics_out:
-        batch_doc: Dict[str, object] = {
-            "jobs": len(spec.jobs),
-            "workers": workers,
-            "spec_digest": spec.digest,
-            "job_keys": [job.key for job in spec.jobs],
-        }
-        if store_stats is not None:
-            batch_doc["store"] = {**store_stats, "code": store.code[:12]}
-        manifest = run_manifest(extra={
-            "batch": batch_doc,
-            **(manifest_extra or {}),
-        })
-        shard_paths = [_shard_path(shard_dir, i) for i in range(len(spec.jobs))]
-        merge_shards(shard_paths, manifest, metrics_out)
-        metrics_path = metrics_out
-        if collector is not None:
-            stream_identical = _stream_matches_merge(
-                collector, manifest, [job.key for job in spec.jobs],
-                metrics_out)
-            if not stream_identical:
-                _log.info("live stream diverged from shard merge %s",
-                          kv(path=metrics_out))
-        if ingest_db:
-            # Imported here, not at module top: the warehouse pulls in
-            # the whole analyze layer, which workers never need.
-            from ..obs import store
-
-            con = store.connect(ingest_db)
-            try:
-                ingest = store.ingest_file(con, metrics_out, label="batch")
-            finally:
-                con.close()
-            _log.info("batch telemetry ingested %s",
-                      kv(db=ingest_db, run_id=ingest.run_id,
-                         inserted=ingest.inserted,
-                         digest=ingest.digest[:12]))
-    _log.info("batch done %s", kv(jobs=len(spec.jobs), wall_s=round(wall_s, 3),
-                                  ok=sum(r.ok for r in results),
-                                  cached=len(cached)))
-    return BatchResult(results=results, wall_s=wall_s, workers=workers,
-                       metrics_path=metrics_path, shard_dir=shard_dir,
-                       collector=collector, stream_identical=stream_identical,
-                       ingest=ingest,
-                       cached=[spec.jobs[i].key for i in sorted(cached)],
-                       store_stats=store_stats)
-
-
-def _stream_matches_merge(collector: TelemetryCollector,
-                          manifest: Dict[str, object],
-                          job_keys: List[str],
-                          merged_path: str) -> bool:
-    """Byte-compare the live run model against the merged shard file.
-
-    Both sides assemble through `repro.obs.shards.assemble_run` and
-    serialise with the same sorted-key dumps, so on a healthy run this
-    is an equality of identical pipelines — any divergence (dropped
-    events, a bye/shard race) is a real observability bug or loss,
-    surfaced via `BatchResult.stream_identical`.
-    """
-    live_lines = [json.dumps(record, sort_keys=True)
-                  for record in collector.run_records(manifest, job_keys)]
     try:
-        with open(merged_path, "r", encoding="utf-8") as handle:
-            file_lines = [line.rstrip("\n") for line in handle if line.strip()]
-    except OSError:  # pragma: no cover - we just wrote it
-        return False
-    return live_lines == file_lines
+        collector = TelemetryCollector() if live else None
+        if live and display is None:
+            display = LiveDisplay(stall_after_s=stall_after_s)
+        if isinstance(store, str):
+            from ..store import ResultStore
+
+            store = ResultStore(store)
+
+        start = time.perf_counter()
+        # Store precheck, before any prewarm: a warm store turns the whole
+        # batch into lookups, so the (expensive) parent-side warm-up must
+        # only cover jobs that will actually execute.
+        cached: Dict[int, JobResult] = {}
+        if store is not None:
+            for index, job in enumerate(spec.jobs):
+                hit = store.get(job)
+                if hit is not None:
+                    cached[index] = hit
+        if prewarm:
+            seen = set()
+            for index, job in enumerate(spec.jobs):
+                warm_key = (job.circuit, job.scale, job.width, job.arch)
+                if warm_key in seen or job.fault or index in cached:
+                    continue
+                seen.add(warm_key)
+                prewarm_job(job)
+        _log.info("batch start %s", kv(jobs=len(spec.jobs), workers=workers,
+                                       shard_dir=shard_dir, live=live,
+                                       cached=len(cached)))
+        trace_id = f"batch-{spec.digest[:12]}"
+        with get_tracer().span("batch.run", trace=trace_id, jobs=len(spec.jobs),
+                               workers=workers, cached=len(cached)) as batch_span:
+            parent_span_id = batch_span.span_id
+            # Settle cache hits first, in spec order: a synthetic shard
+            # on disk for the merge, a ``cached`` mark for live watchers.
+            done = 0
+            for index in sorted(cached):
+                job, result = spec.jobs[index], cached[index]
+                write_jsonl(_shard_path(shard_dir, index),
+                            _cached_shard_records(job, result, _job_trace(
+                                trace_id, parent_span_id, index)))
+                if collector is not None:
+                    collector.mark_cached(job.key, result.status, index)
+                    if display is not None:
+                        display.tick(collector)
+                done += 1
+                if progress is not None:
+                    progress(result, done, len(spec.jobs))
+            skip = set(cached)
+            workers = max(1, min(workers, len(spec.jobs) - len(cached))) \
+                if len(cached) < len(spec.jobs) else 1
+            if workers == 1:
+                executed = _run_serial(spec, shard_dir, progress,
+                                       trace_id, parent_span_id,
+                                       collector=collector, display=display,
+                                       profile=profile, heartbeat_s=heartbeat_s,
+                                       store=store, skip=skip, done_base=done,
+                                       backoff_base_s=retry_backoff_s)
+            else:
+                executed = _run_pool(spec, shard_dir, workers, progress,
+                                     trace_id, parent_span_id,
+                                     collector=collector, display=display,
+                                     profile=profile, heartbeat_s=heartbeat_s,
+                                     stall_after_s=stall_after_s,
+                                     stall_kill=stall_kill,
+                                     store_doc=store.to_doc() if store else None,
+                                     skip=skip, done_base=done,
+                                     backoff_base_s=retry_backoff_s)
+        by_index = dict(cached)
+        by_index.update(executed)
+        results = [by_index[index] for index in range(len(spec.jobs))]
+        published = 0
+        if store is not None:
+            for index, result in executed.items():
+                try:
+                    if store.put(spec.jobs[index], result):
+                        published += 1
+                except (OSError, ValueError):  # pragma: no cover - a full
+                    # disk must degrade to an unwarmed store, not a failure
+                    pass
+            if store.max_bytes is not None or store.max_entries is not None:
+                store.gc()
+        wall_s = time.perf_counter() - start
+        if display is not None and collector is not None:
+            display.close(collector)
+
+        store_stats = None
+        if store is not None:
+            store_stats = {"hits": len(cached),
+                           "misses": len(executed),
+                           "published": published}
+        metrics_path = None
+        ingest = None
+        if metrics_out:
+            batch_doc: Dict[str, object] = {
+                "jobs": len(spec.jobs),
+                "workers": workers,
+                "spec_digest": spec.digest,
+                "job_keys": [job.key for job in spec.jobs],
+            }
+            if store_stats is not None:
+                batch_doc["store"] = {**store_stats, "code": store.code[:12]}
+            manifest = run_manifest(extra={
+                "batch": batch_doc,
+                **(manifest_extra or {}),
+            })
+            shard_paths = [_shard_path(shard_dir, i) for i in range(len(spec.jobs))]
+            merge_shards(shard_paths, manifest, metrics_out)
+            metrics_path = metrics_out
+            if ingest_db:
+                # Imported here, not at module top: the warehouse pulls in
+                # the whole analyze layer, which workers never need.
+                from ..obs import store
+
+                con = store.connect(ingest_db)
+                try:
+                    ingest = store.ingest_file(con, metrics_out, label="batch")
+                finally:
+                    con.close()
+                _log.info("batch telemetry ingested %s",
+                          kv(db=ingest_db, run_id=ingest.run_id,
+                             inserted=ingest.inserted,
+                             digest=ingest.digest[:12]))
+        _log.info("batch done %s", kv(jobs=len(spec.jobs), wall_s=round(wall_s, 3),
+                                      ok=sum(r.ok for r in results),
+                                      cached=len(cached)))
+        return BatchResult(results=results, wall_s=wall_s, workers=workers,
+                           metrics_path=metrics_path,
+                           shard_dir=None if own_shard_dir else shard_dir,
+                           collector=collector, ingest=ingest,
+                           cached=[spec.jobs[i].key for i in sorted(cached)],
+                           store_stats=store_stats)
+    finally:
+        if own_shard_dir:
+            shutil.rmtree(shard_dir, ignore_errors=True)
 
 
 def run_single_job(
@@ -677,11 +648,10 @@ def run_single_job(
     between enqueue and execution — another client's identical job
     finishing first — is still honoured, and it publishes its own
     fresh result back.  ``event_queue`` receives the worker's live
-    telemetry events for the caller to pump into a collector.
+    telemetry events for the caller to pump into a collector.  When
+    ``shard_dir`` is omitted the job's files go to a temporary
+    directory that is removed before returning.
     """
-    if shard_dir is None:
-        shard_dir = tempfile.mkdtemp(prefix="repro-job-")
-    os.makedirs(shard_dir, exist_ok=True)
     if isinstance(store, str):
         from ..store import ResultStore
 
@@ -690,57 +660,65 @@ def run_single_job(
         hit = store.get(spec)
         if hit is not None:
             return hit
-    ctx = _mp_context()
-    trace = trace or TraceContext(trace_id=f"job-{spec.key}",
-                                  span_prefix=f"j{index}.")
-    attempt = 1
-    while True:
-        result_path = _result_path(shard_dir, index)
-        try:
-            os.remove(result_path)
-        except OSError:
-            pass
-        process = ctx.Process(
-            target=job_process_main,
-            args=(spec.to_dict(), attempt, result_path,
-                  _shard_path(shard_dir, index)),
-            kwargs={"trace_doc": trace.to_dict(), "event_queue": event_queue,
-                    "profile": profile, "heartbeat_s": heartbeat_s,
-                    "index": index,
-                    "store_doc": store.to_doc() if store else None},
-            daemon=True,
-        )
-        process.start()
-        deadline = (time.perf_counter() + timeout_s
-                    if timeout_s is not None else None)
-        started = time.perf_counter()
-        while process.is_alive():
-            if deadline is not None and time.perf_counter() > deadline:
-                process.terminate()
-                process.join(1.0)
-                if process.is_alive():  # pragma: no cover - stubborn child
-                    process.kill()
-                    process.join()
+    own_shard_dir = shard_dir is None
+    if own_shard_dir:
+        shard_dir = tempfile.mkdtemp(prefix="repro-job-")
+    os.makedirs(shard_dir, exist_ok=True)
+    try:
+        ctx = _mp_context()
+        trace = trace or TraceContext(trace_id=f"job-{spec.key}",
+                                      span_prefix=f"j{index}.")
+        attempt = 1
+        while True:
+            result_path = _result_path(shard_dir, index)
+            try:
+                os.remove(result_path)
+            except OSError:
+                pass
+            process = ctx.Process(
+                target=job_process_main,
+                args=(spec.to_dict(), attempt, result_path,
+                      _shard_path(shard_dir, index)),
+                kwargs={"trace_doc": trace.to_dict(), "event_queue": event_queue,
+                        "profile": profile, "heartbeat_s": heartbeat_s,
+                        "index": index,
+                        "store_doc": store.to_doc() if store else None},
+                daemon=True,
+            )
+            process.start()
+            deadline = (time.perf_counter() + timeout_s
+                        if timeout_s is not None else None)
+            started = time.perf_counter()
+            while process.is_alive():
+                if deadline is not None and time.perf_counter() > deadline:
+                    process.terminate()
+                    process.join(1.0)
+                    if process.is_alive():  # pragma: no cover - stubborn child
+                        process.kill()
+                        process.join()
+                    return JobResult(
+                        key=spec.key, status="timeout",
+                        error=f"job exceeded timeout of {timeout_s:g}s",
+                        attempts=attempt,
+                        wall_s=time.perf_counter() - started)
+                time.sleep(_POLL_S)
+            process.join()
+            # Result-file existence is the commit point (see _run_pool).
+            result = _read_result(result_path)
+            if result is not None:
+                return result
+            if attempt > retries:
                 return JobResult(
-                    key=spec.key, status="timeout",
-                    error=f"job exceeded timeout of {timeout_s:g}s",
+                    key=spec.key, status="crashed",
+                    error=f"worker exited with code {process.exitcode} "
+                          "before writing a result",
                     attempts=attempt,
                     wall_s=time.perf_counter() - started)
-            time.sleep(_POLL_S)
-        process.join()
-        # Result-file existence is the commit point (see _run_pool).
-        result = _read_result(result_path)
-        if result is not None:
-            return result
-        if attempt > retries:
-            return JobResult(
-                key=spec.key, status="crashed",
-                error=f"worker exited with code {process.exitcode} "
-                      "before writing a result",
-                attempts=attempt,
-                wall_s=time.perf_counter() - started)
-        time.sleep(retry_delay_s(spec.key, attempt, retry_backoff_s))
-        attempt += 1
+            time.sleep(retry_delay_s(spec.key, attempt, retry_backoff_s))
+            attempt += 1
+    finally:
+        if own_shard_dir:
+            shutil.rmtree(shard_dir, ignore_errors=True)
 
 
 # Re-exported for manifest consumers (`repro batch --json` embeds it).

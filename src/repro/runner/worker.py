@@ -370,23 +370,6 @@ def run_job(spec: JobSpec, attempt: int = 1,
     return result, records
 
 
-def finish_job_stream(publisher, result: JobResult,
-                      records) -> None:
-    """Emit the terminal ``bye`` for a streamed job.
-
-    Called after the shard content is durable.  The metrics payload is
-    the exact snapshot embedded in the shard records, so the collector
-    ends up holding byte-for-byte what the shard file holds.
-    """
-    if publisher is None or not publisher.enabled:
-        return
-    snapshot = None
-    for record in records or []:
-        if record.get("type") == "metrics":
-            snapshot = record.get("metrics")
-    publisher.bye(status=result.status, metrics=snapshot)
-
-
 def job_process_main(spec_doc: Dict[str, object], attempt: int,
                      result_path: str, shard_path: str,
                      trace_doc: Optional[Dict[str, object]] = None,
@@ -425,7 +408,8 @@ def job_process_main(spec_doc: Dict[str, object], attempt: int,
                               publisher=publisher, profile=profile,
                               heartbeat_s=heartbeat_s, store=store)
     write_jsonl(shard_path, records)
-    finish_job_stream(publisher, result, records)
+    if publisher is not None:
+        publisher.bye(status=result.status)
     tmp_path = f"{result_path}.tmp"
     write_jsonl(tmp_path, [result.to_dict()])
     os.replace(tmp_path, result_path)

@@ -14,7 +14,8 @@ One process, three planes:
 * **Execution plane** — each dispatched job runs through
   `repro.runner.executor.run_single_job` in a thread
   (`asyncio.to_thread`), which forks the same process-per-job worker
-  the batch runner uses; worker telemetry events flow back over one
+  the batch runner uses, in a temporary directory removed once the
+  result is read; worker telemetry events flow back over one
   multiprocessing queue, get folded into a `TelemetryCollector`, and
   fan out to every connected ``/events`` subscriber.
 """
@@ -25,7 +26,6 @@ import asyncio
 import collections
 import dataclasses
 import json
-import tempfile
 import time
 from typing import Deque, Dict, List, Optional, Tuple
 
@@ -86,7 +86,6 @@ class Server:
         self._slots: Optional[asyncio.Semaphore] = None
         self._inflight: Dict[str, "asyncio.Future"] = {}
         self._event_queue = _mp_context().Queue()
-        self._shard_dir = tempfile.mkdtemp(prefix="repro-serve-")
         self._index = 0
         self._server: Optional[asyncio.AbstractServer] = None
         self._tasks: List["asyncio.Task"] = []
@@ -188,7 +187,7 @@ class Server:
             result = await asyncio.to_thread(
                 run_single_job, spec,
                 timeout_s=self.timeout_s, retries=self.retries,
-                shard_dir=self._shard_dir, index=submission.index,
+                index=submission.index,
                 trace=trace, event_queue=self._event_queue,
                 store=None if spec.fault else self.store)
             if not submission.future.done():

@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..arch.params import ArchParams
 from ..circuits.buffers import RoutingBuffer, restorer_delay_factor
 from ..circuits.ptm import Technology
 from ..fabric import (

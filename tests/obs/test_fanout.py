@@ -1,6 +1,6 @@
-"""Tests for the collector's subscriber fan-out and synthetic-record
-injection (`inject_records`) — the paths `repro serve` and warm-store
-batches lean on.
+"""Tests for the collector's subscriber fan-out and store-hit marking
+(`mark_cached`) — the paths `repro serve` and warm-store batches lean
+on.
 """
 
 import queue
@@ -59,25 +59,18 @@ class TestFanOut:
         assert seen == []
 
 
-class TestInjectRecords:
-    RECORDS = [
-        {"type": "span", "name": "batch.job", "trace_id": "t", "span_id": "s",
-         "attrs": {"cached": True}},
-        {"type": "metrics", "metrics": {"store.hits": {"value": 1.0}}},
-    ]
-
-    def test_injected_job_reads_as_done(self):
+class TestMarkCached:
+    def test_cached_job_reads_as_done(self):
         collector = TelemetryCollector()
-        collector.inject_records("j", self.RECORDS, status="ok", index=3)
+        collector.mark_cached("j", "ok", index=3)
         state = collector.jobs["j"]
-        assert state.done and state.status == "ok"
-        assert [r["name"] for r in state.records] == ["batch.job"]
-        assert state.metrics == {"store.hits": {"value": 1.0}}
+        assert state.done and state.status == "ok" and state.index == 3
+        assert collector.stalled(0.0, now=state.last_seen + 999.0) == []
 
-    def test_injection_fans_out_a_cached_event(self):
+    def test_mark_cached_fans_out_a_cached_event(self):
         collector = TelemetryCollector()
         seen = []
         collector.add_subscriber(seen.append)
-        collector.inject_records("j", self.RECORDS)
+        collector.mark_cached("j", "ok")
         assert len(seen) == 1
         assert seen[0]["ev"] == "cached" and seen[0]["job"] == "j"

@@ -4,11 +4,8 @@ Everything here runs in-process against a plain queue.Queue sink —
 the cross-process path is exercised by tests/runner/test_live_batch.py.
 """
 
-import json
 import queue
 
-from repro.obs import run_manifest
-from repro.obs.shards import assemble_run
 from repro.obs.stream import (
     EVENT_SCHEMA_VERSION,
     EventPublisher,
@@ -110,34 +107,12 @@ class TestTraceContext:
         assert plain[0] == ("j0.s1", "s9")
 
 
-class TestStreamingTracer:
-    def test_root_close_carries_shard_record(self):
-        sink = queue.Queue()
-        pub = EventPublisher(sink, job="j")
-        tracer = StreamingTracer(pub, trace_id="t", span_prefix="j0.")
-        with tracer.span("batch.job") as root:
-            with tracer.span("flow.route"):
-                pass
-        events = _drain(sink)
-        assert [e["ev"] for e in events] == [
-            "span_open", "span_open", "span_close", "span_close"]
-        inner_close, root_close = events[2], events[3]
-        assert "record" not in inner_close
-        record = root_close["record"]
-        assert record["span_id"] == root.span_id == "j0.s1"
-        assert record["children"][0]["name"] == "flow.route"
-
-
 class TestTelemetryCollector:
-    def _publish_job(self, collector, key="job-a", status="ok",
-                     metrics=None, record=None):
+    def _publish_job(self, collector, key="job-a", status="ok"):
         sink = queue.Queue()
         pub = EventPublisher(sink, job=key, index=0)
         pub.hello()
-        if record is not None:
-            pub.emit("span_close", span_id="j0.s1", name="batch.job",
-                     status="ok", duration_s=0.1, record=record)
-        pub.bye(status=status, metrics=metrics)
+        pub.bye(status=status)
         collector.pump(sink)
         return pub
 
@@ -160,32 +135,17 @@ class TestTelemetryCollector:
         collector = TelemetryCollector()
         collector.handle({"ev": "hello", "job": "j", "seq": 1, "attempt": 1,
                           "v": EVENT_SCHEMA_VERSION})
-        collector.handle({"ev": "span_close", "job": "j", "seq": 2,
-                          "name": "batch.job", "record": {"span_id": "x"}})
+        collector.handle({"ev": "span_open", "job": "j", "seq": 2,
+                          "span_id": "j0.s1", "name": "batch.job"})
         collector.handle({"ev": "hello", "job": "j", "seq": 1, "attempt": 2,
                           "v": EVENT_SCHEMA_VERSION})
         state = collector.jobs["j"]
-        assert state.attempt == 2 and state.records == [] and state.last_seq == 1
+        assert state.attempt == 2 and state.stack == [] and state.last_seq == 1
 
     def test_schema_version_mismatch_warns(self):
         collector = TelemetryCollector()
         collector.handle({"ev": "hello", "job": "j", "seq": 1, "v": 99})
         assert any("schema" in w for w in collector.warnings)
-
-    def test_records_withheld_until_bye(self):
-        collector = TelemetryCollector()
-        collector.handle({"ev": "hello", "job": "j", "seq": 1,
-                          "v": EVENT_SCHEMA_VERSION})
-        collector.handle({"ev": "span_close", "job": "j", "seq": 2,
-                          "name": "batch.job",
-                          "record": {"span_id": "j0.s1", "name": "batch.job"}})
-        # A crashed attempt never writes its shard; its streamed partial
-        # must equally stay out of the run model.
-        assert collector.job_records("j") == []
-        collector.handle({"ev": "bye", "job": "j", "seq": 3, "status": "ok",
-                          "metrics": {"m": {"kind": "counter", "value": 1.0}}})
-        records = collector.job_records("j")
-        assert [r["type"] for r in records] == ["span", "metrics"]
 
     def test_mark_done_does_not_override_bye(self):
         collector = TelemetryCollector()
@@ -203,17 +163,3 @@ class TestTelemetryCollector:
                 collector.stalled(10.0, now=state.last_seen + 11.0)] == ["j"]
         collector.handle({"ev": "bye", "job": "j", "seq": 1, "status": "ok"})
         assert collector.stalled(10.0, now=state.last_seen + 999.0) == []
-
-    def test_run_records_match_assemble_run(self):
-        collector = TelemetryCollector()
-        record = {"span_id": "j0.s1", "name": "batch.job", "start_s": 0.0,
-                  "end_s": 1.0, "status": "ok", "attrs": {}, "children": []}
-        metrics = {"route.iters": {"kind": "counter", "value": 4.0}}
-        self._publish_job(collector, record=record, metrics=metrics)
-        manifest = run_manifest()
-        live = collector.run_records(manifest, ["job-a"])
-        direct = assemble_run(
-            manifest,
-            [[{"type": "span", **record}, {"type": "metrics", "metrics": metrics}]])
-        assert ([json.dumps(r, sort_keys=True) for r in live]
-                == [json.dumps(r, sort_keys=True) for r in direct])

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.fabric import KIND_HWIRE, KIND_VWIRE, FabricIR
-from repro.vpr.route import PathFinderRouter, build_route_nets
+from repro.vpr.route import PathFinderRouter
 
 from .conftest import ARCH
 

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from repro.fabric import KIND_OPIN
-from repro.vpr.route import PathFinderRouter, build_route_nets, route_design
+from repro.vpr.route import route_design
 
 from .conftest import ARCH
 
