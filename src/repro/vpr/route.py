@@ -12,10 +12,10 @@ classic algorithm [McMurchie-Ebeling / Betz 99]:
 * iteration ends when no node is shared by two nets (legal routing)
   or the iteration limit is hit (unroutable at this channel width).
 
-The inner expansion/cost loop lives in a kernel picked by graph size
-(`repro.vpr.route_kernels`): the pure-Python reference walk on small
-graphs, a vectorised numpy kernel on large ones — bit-identical by
-contract, so the pick changes speed and nothing else.
+The inner expansion/cost loop lives in the vectorised numpy kernel
+(`repro.vpr.route_kernels`); the pure-Python reference walk it is
+proven bit-identical against runs only when forced, as the tests'
+oracle and the kernel bench's baseline.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ import dataclasses
 import random
 import threading
 from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..arch.params import ArchParams
 from ..fabric import (
@@ -164,7 +166,7 @@ class PathFinderRouter:
         hist_fac: History cost accumulation factor.
         max_iterations: Give up after this many rip-up passes.
         astar_fac: A* lookahead aggressiveness (1.0 = admissible).
-        kernel: Expansion kernel — None picks by graph size (see
+        kernel: Expansion kernel — None runs numpy (see
             `repro.vpr.route_kernels.resolve_kernel`); ``"python"`` /
             ``"numpy"`` force one, which the differential harness and
             the kernel bench do.  Kernels are bit-identical by
@@ -218,7 +220,6 @@ class PathFinderRouter:
         # Deterministic tie-break jitter: symmetric conflicts otherwise
         # oscillate forever because both nets see identical costs.
         self._jitter = _jitter_for(max(n, 1))
-        self._route_calls = 0
         self._wire_spans = ir.wire_spans
         self._pin_groups: Optional[Dict[Tuple[int, int, int], List[int]]] = None
         # The expansion kernel owns the mutable per-node state
@@ -389,13 +390,14 @@ class PathFinderRouter:
                         k = kinds[node]
                         if k == KIND_OPIN or k == KIND_IPIN:
                             hot.update(self._sibling_pins(node))
+                    # Each net's first tree node that feeds an overused node.
+                    feeds_over = feeds_into(self.fabric, overused)
                     for net in order:
                         tree = trees.get(net.name)
                         if tree is None:
                             continue
                         for n in tree.nodes:
-                            if any(v in overused for v in
-                                   targets[offsets[n]:offsets[n + 1]].tolist()):
+                            if feeds_over[n]:
                                 hot.add(n)
                                 break
                 to_route = [
@@ -493,6 +495,19 @@ class PathFinderRouter:
             wirelength=tree_wirelength(self._wire_spans, trees),
             convergence=convergence,
         )
+
+
+def feeds_into(ir: FabricIR, nodes: Set[int]) -> List[bool]:
+    """Per RR node: whether any of its out-edges ends in ``nodes``.
+
+    One vectorised pass: mark ``nodes``, then sum the marks over each
+    node's CSR row through a prefix sum of the per-edge marks."""
+    marked = np.zeros(ir.num_nodes, dtype=np.int64)
+    marked[list(nodes)] = 1
+    hits = np.zeros(len(ir.edge_targets) + 1, dtype=np.int64)
+    np.cumsum(marked[ir.edge_targets], out=hits[1:])
+    offsets = ir.edge_offsets
+    return (hits[offsets[1:]] > hits[offsets[:-1]]).tolist()
 
 
 def tree_wirelength(wire_spans: Sequence[int],

@@ -9,8 +9,9 @@ kernels:
 * ``numpy``  — vectorised cost evaluation over FabricIR's CSR arrays
   feeding a tight scalar heap walk.
 
-The router picks by graph size alone (`resolve_kernel`): numpy at
-`NUMPY_MIN_NODES` nodes or more, the reference below.
+The router runs the numpy kernel on every graph (`resolve_kernel`);
+the reference kernel is the test oracle and the bench's baseline arm,
+and runs only when forced with ``kernel="python"``.
 
 Determinism contract
 --------------------
@@ -31,9 +32,16 @@ The invariants that make this provable rather than hopeful:
 * the jitter table, crc32 name-hash salt, stable CSR edge order,
   bounding-box rule and sink-shuffle RNG are shared with the
   reference;
-* inadmissible nodes (sources, non-target sinks, out-of-box, blocked)
-  fold to ``+inf`` cost — a relaxation ``g + inf < dist`` can never
-  fire, which is exactly the reference's skip;
+* out-of-box and blocked nodes fold to ``+inf`` cost — a relaxation
+  ``g + inf < dist`` can never fire, which is exactly the reference's
+  skip;
+* the reference's other skips (sources, non-target sinks, tree
+  members) need no fold, because the reduced CSR cannot reach those
+  nodes: a SOURCE has no in-edges; an IPIN's only in-edges come from
+  wires, and those are dropped except into the target tile; a SINK's
+  only in-edge comes from its own tile's IPINs; tree nodes are seeded
+  at ``dist = 0`` and so are never relaxed (and a tree IPIN's SINK is
+  itself in the tree);
 * structural prunings (compacting blocked edges out of the CSR,
   dropping wire->IPIN edges into non-target tiles) only remove
   expansions that provably cannot change ``dist``/``came`` along any
@@ -50,28 +58,22 @@ import heapq
 import random
 import zlib
 from array import array
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING, AbstractSet, Dict, List, Optional, Sequence, Set, Tuple,
+)
 
 import numpy as np
 
-from ..fabric.build import (
-    KIND_HWIRE,
-    KIND_IPIN,
-    KIND_SINK,
-    KIND_SOURCE,
-    KIND_VWIRE,
-)
+from ..fabric.build import KIND_HWIRE, KIND_IPIN, KIND_VWIRE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..fabric import FabricIR
     from .route import PathFinderRouter, RouteNet, RouteTree
 
 INF = float("inf")
 
 #: Kernel names `PathFinderRouter(kernel=)` accepts.
 KERNELS = ("python", "numpy")
-#: Below this node count the numpy kernel's per-net vector setup
-#: outweighs the walk it saves, so smaller graphs stay on the reference.
-NUMPY_MIN_NODES = 4096
 #: Byte budget for the per-target-sink A* heuristic cache (each entry
 #: is one float64 per node).  Fill-up-to-cap, no eviction: PathFinder
 #: revisits the same sinks cyclically, which would thrash an LRU.
@@ -81,11 +83,12 @@ BB_CACHE_ENTRIES = 4096
 
 
 def resolve_kernel(kernel: Optional[str], num_nodes: int) -> str:
-    """The kernel to run: ``kernel`` when given, else numpy on graphs
-    of at least `NUMPY_MIN_NODES` nodes and the reference kernel on
-    smaller ones.  Unknown names raise `ValueError`."""
+    """The kernel to run: ``kernel`` when given, else numpy, whatever
+    the graph's ``num_nodes`` (measured, the numpy kernel beats the
+    reference on the smallest graphs the flows route too).  Unknown
+    names raise `ValueError`."""
     if kernel is None:
-        return "numpy" if num_nodes >= NUMPY_MIN_NODES else "python"
+        return "numpy"
     if kernel not in KERNELS:
         raise ValueError(
             f"unknown route kernel {kernel!r}; expected one of "
@@ -94,12 +97,23 @@ def resolve_kernel(kernel: Optional[str], num_nodes: int) -> str:
 
 
 def make_kernel(name: str, router: "PathFinderRouter") -> "RouteKernel":
-    """Instantiate the named kernel bound to ``router``."""
-    if name == "python":
-        return PythonKernel(router)
-    if name == "numpy":
-        return NumpyKernel(router)
-    raise ValueError(f"unknown route kernel {name!r}")
+    """Instantiate the named kernel over ``router``'s graph and costs.
+
+    The kernel gets the values it reads, never the router itself, so
+    the two form no reference cycle: dropping a router frees it and
+    its kernel by refcount, without waiting for a garbage-collector
+    pass."""
+    kernels = {"python": PythonKernel, "numpy": NumpyKernel}
+    if name not in kernels:
+        raise ValueError(f"unknown route kernel {name!r}")
+    return kernels[name](
+        router.fabric,
+        jitter=router._jitter,
+        blocked=router._blocked,
+        blocked_edges=router._blocked_edges,
+        delay_costs=router._delay_costs,
+        astar_fac=router.astar_fac,
+    )
 
 
 def _no_extra(_u: int) -> None:
@@ -121,8 +135,25 @@ class RouteKernel:
 
     name = "abstract"
 
-    def __init__(self, router: "PathFinderRouter") -> None:
-        self._router = router
+    def __init__(
+        self,
+        fabric: "FabricIR",
+        jitter: Sequence[float],
+        blocked: AbstractSet[int],
+        blocked_edges: AbstractSet[int],
+        delay_costs: Optional[Sequence[float]],
+        astar_fac: float,
+    ) -> None:
+        """``blocked_edges`` holds directed hops encoded ``u * n + v``;
+        ``delay_costs`` is None in pure routability mode."""
+        self.fabric = fabric
+        self._jitter = jitter
+        self._blocked = blocked
+        self._blocked_edges = blocked_edges
+        self._delay_costs = delay_costs
+        self._astar_fac = astar_fac
+        #: `route_net` calls so far; salts each call's jitter offset.
+        self._route_calls = 0
         #: Monotonic heap-operation telemetry (obs only, never part of
         #: the routing result).
         self.heap_pops = 0
@@ -159,16 +190,16 @@ class RouteKernel:
 class PythonKernel(RouteKernel):
     """The original pure-Python walk — the reference kernel.
 
-    Kept verbatim (modulo the heap-op counters) as the semantics
+    Kept verbatim (modulo the heap-op counters, and reading its inputs
+    from the kernel rather than the router) as the semantics
     oracle: the differential harness asserts the numpy kernel against
     this implementation, never the other way round.
     """
 
     name = "python"
 
-    def __init__(self, router: "PathFinderRouter") -> None:
-        super().__init__(router)
-        ir = router.fabric
+    def __init__(self, ir: "FabricIR", **costs) -> None:
+        super().__init__(ir, **costs)
         n = ir.num_nodes
         self._base = ir.base_costs.tolist()
         self._cap = ir.capacities.tolist()
@@ -215,8 +246,7 @@ class PythonKernel(RouteKernel):
         sink_shuffle: int = 0,
         criticality: float = 0.0,
     ) -> Optional["RouteTree"]:
-        router = self._router
-        ir = router.fabric
+        ir = self.fabric
         source = ir.source_of[net.source_tile]
         targets = {ir.sink_of[tile]: tile for tile in net.sink_tiles}
         tree_nodes: List[int] = [source]
@@ -234,8 +264,8 @@ class PythonKernel(RouteKernel):
         # Local bindings for the hot loop.
         edge_offsets = self._edge_offsets
         edge_targets = self._edge_targets
-        blocked = router._blocked
-        blocked_edges = router._blocked_edges
+        blocked = self._blocked
+        blocked_edges = self._blocked_edges
         n_enc = ir.num_nodes
         pos = self._pos
         static = self._static
@@ -243,20 +273,20 @@ class PythonKernel(RouteKernel):
         cap = self._cap
         is_sink = self._is_sink
         is_source = self._is_source
-        astar_per_tile = router.astar_fac
+        astar_per_tile = self._astar_fac
         dist = self._dist
         came = self._came
         stamp = self._stamp
         heappush, heappop = heapq.heappush, heapq.heappop
-        jitter = router._jitter
-        router._route_calls += 1
+        jitter = self._jitter
+        self._route_calls += 1
         n_nodes = len(jitter)
         # Stable string hash: Python's hash() is salted per process,
         # which would make routing (and thus Wmin) non-reproducible.
         name_hash = zlib.crc32(net.name.encode())
-        salt = (name_hash * 31 + router._route_calls * 7919) % n_nodes
+        salt = (name_hash * 31 + self._route_calls * 7919) % n_nodes
         # Timing-driven blend (VPR): crit * delay + (1 - crit) * cong.
-        delay_costs = router._delay_costs
+        delay_costs = self._delay_costs
         crit = min(max(criticality, 0.0), 0.99) if delay_costs is not None else 0.0
         cong_weight = 1.0 - crit
 
@@ -365,10 +395,10 @@ class NumpyKernel(RouteKernel):
     Structure: blocked edges are compacted out of the CSR once, and
     wire->IPIN edges are dropped — IPINs are only ever *entered* on
     the target tile, so those in-edges are re-attached per search from
-    a precomputed per-tile table.  All sinks, sources and IPINs fold
-    to ``+inf`` in the cost vector; each search patches the target
-    sink and the target tile's IPINs admissible with the reference's
-    scalar cost expression and restores them afterwards.  The
+    a precomputed per-tile table.  With those edges gone, no search
+    can reach a source, a non-target sink or an IPIN off the target
+    tile, so the cost vector needs no per-search patching: only
+    out-of-box and blocked nodes fold to ``+inf``.  The
     occupancy/history columns, the per-net cost vector, the cached
     per-target A* heuristic vectors and bounding-box masks reproduce
     the reference kernel's IEEE-754 op order exactly.
@@ -376,9 +406,8 @@ class NumpyKernel(RouteKernel):
 
     name = "numpy"
 
-    def __init__(self, router: "PathFinderRouter") -> None:
-        super().__init__(router)
-        ir = router.fabric
+    def __init__(self, ir: "FabricIR", **costs) -> None:
+        super().__init__(ir, **costs)
         n = ir.num_nodes
         # Writable per-router state; the shared IR stays immutable.
         self._base = ir.base_costs
@@ -388,19 +417,18 @@ class NumpyKernel(RouteKernel):
         self._static = self._base.copy()
         self._px = ir.pos_x
         self._py = ir.pos_y
-        jit = np.asarray(router._jitter, dtype=np.float64)
+        jit = np.asarray(self._jitter, dtype=np.float64)
         # Jitter doubled so the reference's negative-index wrap
         # ``jitter[v - salt]`` becomes one contiguous view
         # ``jitter2[n - salt : 2n - salt]`` (no per-net np.roll copy).
         self._jitter2 = np.concatenate([jit, jit])
         self._n_jitter = len(jit)
-        self._inadmissible = ir.nodes_of_kind(KIND_SINK, KIND_SOURCE, KIND_IPIN)
-        blocked = sorted(router._blocked)
+        blocked = sorted(self._blocked)
         self._blocked_idx = (
             np.asarray(blocked, dtype=np.int64) if blocked else None)
         self._delay_np = (
-            np.asarray(router._delay_costs, dtype=np.float64)
-            if router._delay_costs is not None else None)
+            np.asarray(self._delay_costs, dtype=np.float64)
+            if self._delay_costs is not None else None)
         self._h_cache: Dict[int, array] = {}
         self._h_entries = max(1, H_CACHE_BYTES // max(8 * n, 8))
         self._bb_cache: Dict[Tuple[float, float, float, float], np.ndarray] = {}
@@ -413,11 +441,11 @@ class NumpyKernel(RouteKernel):
             to_ipin = wire[src] & (kind[tgt] == KIND_IPIN)
         else:
             to_ipin = np.zeros(0, dtype=bool)
-        if router._blocked_edges:
+        if self._blocked_edges:
             enc = src * n + tgt
             edge_ok = ~np.isin(enc, np.fromiter(
-                router._blocked_edges, dtype=np.int64,
-                count=len(router._blocked_edges)))
+                self._blocked_edges, dtype=np.int64,
+                count=len(self._blocked_edges)))
         else:
             edge_ok = None
         keep = ~to_ipin if edge_ok is None else (~to_ipin & edge_ok)
@@ -434,10 +462,6 @@ class NumpyKernel(RouteKernel):
             tile_extra.setdefault(
                 (int(xs[v]), int(ys[v])), {}).setdefault(u, []).append(v)
         self._tile_extra = tile_extra
-        tile_ipins: Dict[Tuple[int, int], List[int]] = {}
-        for i in ir.nodes_of_kind(KIND_IPIN).tolist():
-            tile_ipins.setdefault((int(xs[i]), int(ys[i])), []).append(i)
-        self._tile_ipins = tile_ipins
         # INF-sentinel scratch (restored via the touched list).
         self._dist = [INF] * n
         self._came = [0] * n
@@ -465,15 +489,14 @@ class NumpyKernel(RouteKernel):
 
     def _cost_vector(self, name: str, pres_fac: float, crit: float,
                      cong_weight: float,
-                     bb: Tuple[float, float, float, float]) -> Tuple[np.ndarray, int]:
+                     bb: Tuple[float, float, float, float]) -> np.ndarray:
         """Per-net cost vector in the reference's exact op order, with
-        inadmissible nodes folded to ``+inf``.  Also advances the
-        router's per-call salt sequence (one bump per route_net call,
+        out-of-box and blocked nodes folded to ``+inf``.  Also advances
+        the per-call salt sequence (one bump per route_net call,
         exactly like the reference)."""
-        router = self._router
-        router._route_calls += 1
+        self._route_calls += 1
         nj = self._n_jitter
-        salt = (zlib.crc32(name.encode()) * 31 + router._route_calls * 7919) % nj
+        salt = (zlib.crc32(name.encode()) * 31 + self._route_calls * 7919) % nj
         c = self._static * self._jitter2[nj - salt:2 * nj - salt]
         # max(m, 1.0) folds the reference's ``if over > 0`` branch:
         # x * 1.0 is a bitwise identity for every routing cost.
@@ -484,23 +507,9 @@ class NumpyKernel(RouteKernel):
             c *= cong_weight
             c += crit * self._delay_np
         c[self._bbox_out(bb)] = INF
-        c[self._inadmissible] = INF
         if self._blocked_idx is not None:
             c[self._blocked_idx] = INF
-        return c, salt
-
-    def _scalar_cost(self, v: int, salt: int, pres_fac: float, crit: float,
-                     cong_weight: float) -> float:
-        """The reference's scalar cost expression for one node — used
-        to patch per-search admissible targets into the cost vector."""
-        router = self._router
-        cv = float(self._static[v]) * router._jitter[v - salt]
-        over = int(self._occ[v]) + 1 - int(self._cap[v])
-        if over > 0:
-            cv *= 1.0 + pres_fac * over
-        if crit > 0.0:
-            cv = cong_weight * cv + crit * router._delay_costs[v]
-        return cv
+        return c
 
     def _next_sink(self, remaining: Dict[int, Tuple[int, int]], source: int,
                    shuffled_order: List[int]) -> int:
@@ -516,7 +525,7 @@ class NumpyKernel(RouteKernel):
         """A* lookahead vector towards target ``t`` (reference op
         order: scale applied after the Manhattan sum)."""
         tx, ty = self._px[t], self._py[t]
-        return self._router.astar_fac * (np.abs(self._px - tx) + np.abs(self._py - ty))
+        return self._astar_fac * (np.abs(self._px - tx) + np.abs(self._py - ty))
 
     def _heuristic(self, t: int) -> array:
         h = self._h_cache.get(t)
@@ -538,7 +547,6 @@ class NumpyKernel(RouteKernel):
                 self._bb_cache[bb] = mask
         return mask
 
-
     def route_net(
         self,
         net: "RouteNet",
@@ -547,8 +555,7 @@ class NumpyKernel(RouteKernel):
         sink_shuffle: int = 0,
         criticality: float = 0.0,
     ) -> Optional["RouteTree"]:
-        router = self._router
-        ir = router.fabric
+        ir = self.fabric
         source = ir.source_of[net.source_tile]
         targets = {ir.sink_of[tile]: tile for tile in net.sink_tiles}
         tree_nodes: List[int] = [source]
@@ -563,11 +570,11 @@ class NumpyKernel(RouteKernel):
               min(ys) - bb_margin, max(ys) + bb_margin)
 
         crit = (min(max(criticality, 0.0), 0.99)
-                if router._delay_costs is not None else 0.0)
+                if self._delay_costs is not None else 0.0)
         cong_weight = 1.0 - crit
-        c_np, salt = self._cost_vector(net.name, pres_fac, crit, cong_weight, bb)
         c = array("d")
-        c.frombytes(memoryview(c_np).cast("B"))
+        c.frombytes(memoryview(
+            self._cost_vector(net.name, pres_fac, crit, cong_weight, bb)).cast("B"))
 
         shuffled_order: List[int] = []
         if sink_shuffle:
@@ -580,28 +587,13 @@ class NumpyKernel(RouteKernel):
         offsets = self._k_offsets
         tgts = self._k_targets
         heappush, heappop = heapq.heappush, heapq.heappop
-        blocked = router._blocked
         pops_total = 0
         pushes_total = 0
 
         while remaining:
             target_sink = self._next_sink(remaining, source, shuffled_order)
-            tile = targets[target_sink]
             ha = self._heuristic(target_sink)
-            # Patch the search's admissible targets into the vector
-            # (skipping tree members and blocked nodes, which the
-            # reference skips at expansion time).
-            patched: List[int] = []
-            if target_sink not in blocked:
-                patched.append(target_sink)
-                c[target_sink] = self._scalar_cost(
-                    target_sink, salt, pres_fac, crit, cong_weight)
-            for v in self._tile_ipins.get(tile, ()):
-                if v in tree_set or v in blocked:
-                    continue
-                patched.append(v)
-                c[v] = self._scalar_cost(v, salt, pres_fac, crit, cong_weight)
-            extra = self._tile_extra.get(tile)
+            extra = self._tile_extra.get(targets[target_sink])
             get_extra = extra.get if extra is not None else _no_extra
             touched: List[int] = []
             heap: List[Tuple[float, float, int]] = []
@@ -641,8 +633,6 @@ class NumpyKernel(RouteKernel):
             pushes_total += pops + len(heap)
             for v in touched:
                 dist[v] = INF
-            for v in patched:
-                c[v] = INF
             if not found:
                 self.heap_pops += pops_total
                 self.heap_pushes += pushes_total

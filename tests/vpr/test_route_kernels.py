@@ -11,29 +11,41 @@ cache keys or artefact digests), so it is enforced here, not assumed:
 * a routing-*failure* case (both kernels must fail identically —
   same overused count, same convergence trace),
 * defect cases (blocked nodes, blocked directed edges),
+* timing-driven costs, pinned ``fixed_trees`` (incremental repair),
+  stalled negotiations that escalate to sink-order shuffles, and a
+  whole channel-width search,
 * a hypothesis property suite over generated netlists.
 
 Kernel *selection* (`resolve_kernel`: an explicit kernel, else numpy
-on large graphs and the reference on small ones) is tested alongside.
+at every graph size) and the router's lifetime (no router <-> kernel
+reference cycle) are tested alongside.
 """
 
 import dataclasses
+import gc
+import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch.params import ArchParams
+from repro.core.variants import baseline_variant
+from repro.fabric import get_fabric
 from repro.fabric.build import KIND_HWIRE, KIND_VWIRE
+from repro.netlist import load_circuit
 from repro.netlist.generate import GeneratorParams, generate
+from repro.vpr.flow import find_min_channel_width
 from repro.vpr.pack import pack
 from repro.vpr.place import place
-from repro.vpr.route import PathFinderRouter, build_route_nets, route_design
-from repro.vpr.route_kernels import (
-    KERNELS,
-    NUMPY_MIN_NODES,
-    make_kernel,
-    resolve_kernel,
+from repro.vpr.route import (
+    PathFinderRouter,
+    build_route_nets,
+    feeds_into,
+    route_design,
 )
+from repro.vpr.route_kernels import KERNELS, make_kernel, resolve_kernel
+from repro.vpr.timing import node_delay_costs
 
 from .conftest import ARCH
 
@@ -93,8 +105,6 @@ class TestDifferentialGrid:
 
     def test_blocked_nodes(self, placement, routed):
         """Dead wires (5%): defect-avoidance must be kernel-invariant."""
-        import random
-
         _, graph = routed
         wires = graph.nodes_of_kind(KIND_HWIRE, KIND_VWIRE).tolist()
         blocked = sorted(random.Random(5).sample(wires, len(wires) // 20))
@@ -106,8 +116,6 @@ class TestDifferentialGrid:
 
     def test_blocked_edges(self, placement, routed):
         """Stuck-open relays: individual directed hops forbidden."""
-        import random
-
         _, graph = routed
         off, tgt = graph.csr_offsets(), graph.csr_targets()
         kind = graph.kind
@@ -127,14 +135,103 @@ class TestDifferentialGrid:
         assert fingerprint(vec) == fingerprint(ref)
 
     def test_counters_advance(self, placement):
-        from repro.fabric import get_fabric
-
         graph = get_fabric(ARCH, placement.grid_width, placement.grid_height)
         router = PathFinderRouter(graph, kernel="numpy")
         result = router.route(build_route_nets(placement))
         assert result.success
         assert router._kernel.heap_pops > 0
         assert router._kernel.heap_pushes >= router._kernel.heap_pops
+
+
+#: (num_luts, netlist seed, placement seed, W) whose negotiation
+#: stalls long enough to escalate (rip up blockers, shuffle sink
+#: order): the first then routes, the second runs out of iterations.
+ESCALATING = [(80, 1, 3, 20), (60, 3, 1, 16)]
+
+
+class TestRouterPaths:
+    """Router paths beyond plain routability, on graphs of the size a
+    channel-width search probes (under ~2,000 nodes)."""
+
+    def test_timing_driven(self, placement):
+        graph = get_fabric(ARCH, placement.grid_width, placement.grid_height)
+        delay_costs = node_delay_costs(graph, baseline_variant(ARCH).fabric())
+        nets = build_route_nets(placement)
+        # Spread over [0, 1], including 0 (pure congestion) and 1
+        # (clamped to 0.99).
+        criticality = {net.name: (i % 7) / 6 for i, net in enumerate(nets)}
+        ref, vec = (
+            PathFinderRouter(graph, delay_costs=delay_costs, kernel=k)
+            .route(nets, criticality=criticality)
+            for k in ("python", "numpy"))
+        assert ref.success
+        assert fingerprint(vec) == fingerprint(ref)
+
+    def test_fixed_trees(self, placement, routed):
+        """Incremental repair: every fourth net rerouted around one
+        dead wire of its old tree, the rest pinned in place."""
+        result, graph = routed
+        nets = build_route_nets(placement)
+        victims = nets[::4]
+        victim_names = {net.name for net in victims}
+        fixed = {name: tree for name, tree in result.trees.items()
+                 if name not in victim_names}
+        wires = set(graph.nodes_of_kind(KIND_HWIRE, KIND_VWIRE).tolist())
+        blocked = {min(set(result.trees[net.name].nodes) & wires)
+                   for net in victims}
+        ref, vec = (
+            PathFinderRouter(graph, blocked_nodes=blocked, kernel=k)
+            .route(victims, fixed_trees=fixed)
+            for k in ("python", "numpy"))
+        assert ref.success
+        assert set(ref.trees) == victim_names
+        assert fingerprint(vec) == fingerprint(ref)
+
+    @pytest.mark.parametrize(
+        "num_luts,seed,place_seed,width", ESCALATING,
+        ids=[f"n{n}-s{s}-W{w}" for n, s, _, w in ESCALATING])
+    def test_escalation(self, monkeypatch, num_luts, seed, place_seed, width):
+        shuffles = []
+        route_net = PathFinderRouter._route_net
+
+        def spy(self, net, pres_fac, bb_margin=3.0, sink_shuffle=0,
+                criticality=0.0):
+            shuffles.append(sink_shuffle)
+            return route_net(self, net, pres_fac, bb_margin=bb_margin,
+                             sink_shuffle=sink_shuffle, criticality=criticality)
+
+        monkeypatch.setattr(PathFinderRouter, "_route_net", spy)
+        arch = ArchParams(channel_width=width)
+        placement = placed_circuit(
+            f"esc{seed}", num_luts, seed, arch, place_seed)
+        ref, vec = route_pair(placement, arch, max_iterations=60)
+        assert any(shuffles), "the negotiation never escalated"
+        assert fingerprint(vec) == fingerprint(ref)
+
+    def test_channel_width_search(self):
+        """A whole Wmin search on a graph of the repo benchmark's
+        ``wmin`` size, the reference forced against the default."""
+        arch = ArchParams(channel_width=64)
+        placement = place(pack(load_circuit("tseng", scale=0.03), arch), seed=2)
+        w_ref, r_ref, g_ref = find_min_channel_width(
+            placement, arch, kernel="python")
+        w_def, r_def, g_def = find_min_channel_width(placement, arch)
+        assert g_ref.num_nodes < 1500
+        assert w_def == w_ref
+        assert g_def.params.channel_width == g_ref.params.channel_width == w_ref
+        assert fingerprint(r_def) == fingerprint(r_ref)
+
+    def test_feeds_into_matches_row_scan(self, routed):
+        """The escalation scan's vectorised row test against a plain
+        per-row walk."""
+        _, graph = routed
+        off, tgt = graph.csr_offsets(), graph.csr_targets()
+        rng = random.Random(3)
+        for size in (1, 5, 39):
+            nodes = set(rng.sample(range(graph.num_nodes), size))
+            expected = [any(v in nodes for v in tgt[off[u]:off[u + 1]])
+                        for u in range(graph.num_nodes)]
+            assert feeds_into(graph, nodes) == expected
 
 
 class TestKernelProperties:
@@ -160,20 +257,17 @@ class TestKernelSelection:
         with pytest.raises(ValueError, match="unknown route kernel"):
             resolve_kernel("fortran", 10)
 
-    def test_auto_by_graph_size(self):
-        """No kernel given: numpy on big graphs, the reference on small
-        ones (below NUMPY_MIN_NODES the vector setup costs more than
-        the walk it saves)."""
-        assert resolve_kernel(None, NUMPY_MIN_NODES) == "numpy"
-        assert resolve_kernel(None, NUMPY_MIN_NODES - 1) == "python"
+    @pytest.mark.parametrize("num_nodes", [1, 1_664, 10**6])
+    def test_numpy_at_every_size(self, num_nodes):
+        """No kernel given: numpy, whatever the graph size."""
+        assert resolve_kernel(None, num_nodes) == "numpy"
 
     @pytest.mark.parametrize("value", ["python", "numpy", "fortran"])
     def test_environment_is_ignored(self, monkeypatch, value):
-        """The pick depends on the graph size only: the retired
-        ``REPRO_ROUTE_KERNEL`` variable changes nothing."""
+        """The retired ``REPRO_ROUTE_KERNEL`` variable changes nothing."""
         monkeypatch.setenv("REPRO_ROUTE_KERNEL", value)
-        assert resolve_kernel(None, NUMPY_MIN_NODES) == "numpy"
-        assert resolve_kernel(None, NUMPY_MIN_NODES - 1) == "python"
+        for num_nodes in (1, 1_664, 10**6):
+            assert resolve_kernel(None, num_nodes) == "numpy"
 
     def test_numba_is_not_a_kernel(self):
         assert "numba" not in KERNELS
@@ -181,20 +275,37 @@ class TestKernelSelection:
             resolve_kernel("numba", 10)
 
     def test_router_exposes_resolved_kernel(self, placement):
-        from repro.fabric import get_fabric
-
         graph = get_fabric(ARCH, placement.grid_width, placement.grid_height)
         assert PathFinderRouter(graph, kernel="numpy").kernel == "numpy"
-        assert PathFinderRouter(graph).kernel == resolve_kernel(None, graph.num_nodes)
+        assert PathFinderRouter(graph).kernel == "numpy"
         with pytest.raises(ValueError):
             PathFinderRouter(graph, kernel="fortran")
 
     def test_make_kernel_names(self, placement):
-        from repro.fabric import get_fabric
-
         graph = get_fabric(ARCH, placement.grid_width, placement.grid_height)
         router = PathFinderRouter(graph, kernel="python")
         for name in KERNELS:
             assert make_kernel(name, router).name == name
         with pytest.raises(ValueError):
             make_kernel("fortran", router)
+
+
+class TestRouterLifetime:
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_dropped_router_frees_without_gc(self, placement, kernel):
+        """The kernel holds what it reads, not the router: a
+        dropped router and its kernel go by refcount alone, so a
+        Wmin search's probes do not pile up until a GC pass."""
+        graph = get_fabric(ARCH, placement.grid_width, placement.grid_height)
+        gc.collect()
+        gc.disable()
+        try:
+            router = PathFinderRouter(graph, kernel=kernel)
+            assert router.route(build_route_nets(placement)).success
+            router_ref = weakref.ref(router)
+            kernel_ref = weakref.ref(router._kernel)
+            del router
+            assert router_ref() is None
+            assert kernel_ref() is None
+        finally:
+            gc.enable()
