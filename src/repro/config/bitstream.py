@@ -24,9 +24,12 @@ import dataclasses
 import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from ..crossbar.array import RelayCrossbar
 from ..crossbar.halfselect import HalfSelectProgrammer, ProgrammingVoltages, solve_voltages
 from ..fabric import KIND_HWIRE, FabricIR, SwitchKind, as_fabric
+from ..fabric.ir import _classify_edges
 from ..nemrelay.device import NEMRelay
 from ..nemrelay.electrostatics import ActuationModel
 from ..nemrelay.geometry import SCALED_22NM_DEVICE
@@ -69,46 +72,80 @@ class Bitstream:
         return self.total_switches / (len(self.switches_by_tile) * switches_per_tile)
 
 
-def _owning_tile(ir: FabricIR, u: int, v: int) -> Tile:
-    """Attribute a programmable edge to a tile (for array grouping).
+def _owning_tiles(
+    ir: FabricIR, u: np.ndarray, v: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Attribute programmable edges ``u[i] -> v[i]`` to tiles (for
+    array grouping); returns the tiles' x and y columns.
 
     Pin edges belong to the pin's tile; wire-wire switches to the tile
     at the downstream wire's origin (clamped to the grid).
     """
     kind, xs, ys = ir.kind, ir.xs, ir.ys
-    if kind[v] < KIND_HWIRE:  # pins and collectors: the pin's tile
-        return (int(xs[v]), int(ys[v]))
-    if kind[u] < KIND_HWIRE:
-        return (int(xs[u]), int(ys[u]))
-    x = min(int(xs[v]), ir.nx - 1)
-    y = min(int(ys[v]), ir.ny - 1)
-    return (x, y)
+    v_pin = kind[v] < KIND_HWIRE  # pins and collectors: the pin's tile
+    u_pin = kind[u] < KIND_HWIRE
+    x = np.where(v_pin, xs[v], np.where(u_pin, xs[u], np.minimum(xs[v], ir.nx - 1)))
+    y = np.where(v_pin, ys[v], np.where(u_pin, ys[u], np.minimum(ys[v], ir.ny - 1)))
+    return x.astype(np.int64), y.astype(np.int64)
 
 
 def extract_bitstream(routing: RoutingResult, graph: FabricIR) -> Bitstream:
     """List every conducting switch of a routed design.
 
-    An edge is a relay iff the IR's shared switch-kind table classifies
-    it as one (OPIN->wire, wire->wire, wire->IPIN); SOURCE->OPIN and
+    An edge is a relay iff the IR's switch-kind classification calls
+    it one (OPIN->wire, wire->wire, wire->IPIN); SOURCE->OPIN and
     IPIN->SINK hops classify `SwitchKind.NONE` (hard-wired).
+
+    All tree edges are classified and attributed to tiles in one
+    vector pass.  ``net_of_edge`` keeps the tree-walk order (trees in
+    ``routing.trees`` order, each tree's ``parent`` in insertion
+    order), which wear accounting follows; ``switches_by_tile`` lists
+    tiles in the order that walk first reaches them, each with its
+    edges sorted.
     """
     ir = as_fabric(graph)
-    switches: Dict[Tile, Set[Edge]] = {}
-    net_of_edge: Dict[Edge, str] = {}
-    for name, tree in routing.trees.items():
-        for node, parent in tree.parent.items():
-            if parent < 0:
-                continue
-            if ir.switch_kind_between(parent, node) is SwitchKind.NONE:
-                continue
-            edge = (parent, node)
-            tile = _owning_tile(ir, parent, node)
-            switches.setdefault(tile, set()).add(edge)
-            net_of_edge[edge] = name
-    return Bitstream(
-        switches_by_tile={t: sorted(s) for t, s in switches.items()},
-        net_of_edge=net_of_edge,
-    )
+    names = list(routing.trees)
+    nodes: List[int] = []
+    parents: List[int] = []
+    counts: List[int] = []
+    for tree in routing.trees.values():
+        nodes.extend(tree.parent)
+        parents.extend(tree.parent.values())
+        counts.append(len(tree.parent))
+    u = np.array(parents, dtype=np.int64)
+    v = np.array(nodes, dtype=np.int64)
+    keep = np.flatnonzero(u >= 0)
+    keep = keep[_classify_edges(ir.kind, u[keep], v[keep]) != SwitchKind.NONE]
+    u, v = u[keep], v[keep]
+    net = np.repeat(np.arange(len(names)), counts)[keep]
+    # One tuple per conducting edge, over the trees' own int objects,
+    # shared by both maps: a bitstream costs no more memory than the
+    # per-edge walk's did.
+    edges = [(parents[i], nodes[i]) for i in keep.tolist()]
+    net_of_edge: Dict[Edge, str] = dict(
+        zip(edges, [names[i] for i in net.tolist()]))
+
+    tx, ty = _owning_tiles(ir, u, v)
+    tile = tx * ir.ny + ty
+    # Group by tile with each group's edges sorted and unique (the
+    # stable sort keeps an edge's first occurrence), then order the
+    # groups by first appearance in the walk.
+    order = np.lexsort((v, u, tile))
+    t_s, u_s, v_s = tile[order], u[order], v[order]
+    fresh = np.ones(len(order), dtype=bool)
+    fresh[1:] = ((t_s[1:] != t_s[:-1]) | (u_s[1:] != u_s[:-1])
+                 | (v_s[1:] != v_s[:-1]))
+    order = order[fresh]
+    tile_ids, starts = np.unique(tile[order], return_index=True)
+    _, first_seen = np.unique(tile, return_index=True)
+    ends = np.append(starts[1:], len(order)).tolist()
+    starts = starts.tolist()
+    grouped = [edges[i] for i in order.tolist()]
+    switches_by_tile: Dict[Tile, List[Edge]] = {}
+    for k in np.argsort(first_seen).tolist():
+        t = int(tile_ids[k])
+        switches_by_tile[(t // ir.ny, t % ir.ny)] = grouped[starts[k]:ends[k]]
+    return Bitstream(switches_by_tile=switches_by_tile, net_of_edge=net_of_edge)
 
 
 @dataclasses.dataclass

@@ -242,18 +242,16 @@ class FabricIR:
         return TileLookup(self.sink_table, self.nx, self.ny)
 
     def switch_kind_between(self, u: int, v: int) -> SwitchKind:
-        """`SwitchKind` of edge (u, v) from the per-edge switch table.
+        """`SwitchKind` of edge (u, v), classified from its endpoint
+        kinds.
 
-        Falls back to kind-pair classification when (u, v) is not a
-        graph edge (callers walking externally-supplied trees).
+        ``edge_switch`` is built from the endpoint kinds alone, so this
+        equals ``edge_switch[e]`` for the CSR edge ``e`` = (u, v)
+        without searching u's edge slice, and classifies non-edges
+        (callers walking externally-supplied trees) the same way.
         """
-        lo = int(self.edge_offsets[u])
-        hi = int(self.edge_offsets[u + 1])
-        targets = self.edge_targets
-        for ei in range(lo, hi):
-            if targets[ei] == v:
-                return SwitchKind(int(self.edge_switch[ei]))
-        return SwitchKind(switch_kind_code(int(self.kind[u]), int(self.kind[v])))
+        kind = self.kind
+        return switch_kind_code(int(kind[u]), int(kind[v]))
 
     # -- derived views (built per call; see the module docstring) ---------
 

@@ -13,9 +13,11 @@ the hash — so detection and injection close the loop:
 Two observation backends:
 
 * **fast** (default): the two patterns evaluated directly on the
-  site arrays.  Under pattern A (all programmed) a site conducts iff
-  its relay is not stuck-open and neither endpoint wire is dead; under
-  pattern B (erased) it conducts iff stuck-closed.  A node-level fault
+  site arrays, as vector set tests (`np.isin`) of the encoded site ids
+  ``lo * num_nodes + hi`` against the truth map's faulty switches.
+  Under pattern A (all programmed) a site conducts iff its relay is
+  not stuck-open and neither endpoint wire is dead; under pattern B
+  (erased) it conducts iff stuck-closed.  A node-level fault
   manifests as *every* incident site reading open, which is exactly
   how the localiser classifies it back.
 * **electrical** (``electrical=True``): sites are grouped per owning
@@ -28,7 +30,7 @@ Two observation backends:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -78,21 +80,25 @@ def _classify(
 def _observe_fast(
     sites: np.ndarray, truth: FabricDefectMap
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Evaluate both test patterns analytically on the site arrays."""
-    open_set = set(truth.stuck_open_switches)
-    closed_set = set(truth.stuck_closed_switches)
+    """Evaluate both test patterns analytically on the site arrays.
+
+    Sites and the truth map's switch faults meet as encoded ids
+    ``lo * num_nodes + hi``; a site listed both stuck-open and
+    stuck-closed reads stuck-open.
+    """
+    n = np.int64(truth.num_nodes)
+    site_ids = sites[:, 0].astype(np.int64) * n + sites[:, 1]
+
+    def encoded(switches: Tuple[Site, ...]) -> np.ndarray:
+        pairs = np.array(switches, dtype=np.int64).reshape(-1, 2)
+        return pairs[:, 0] * n + pairs[:, 1]
+
+    stuck_open = np.isin(site_ids, encoded(truth.stuck_open_switches))
+    stuck_closed = np.isin(
+        site_ids, encoded(truth.stuck_closed_switches)) & ~stuck_open
     dead = np.zeros(truth.num_nodes, dtype=bool)
     if truth.stuck_open_nodes:
         dead[list(truth.stuck_open_nodes)] = True
-
-    n = len(sites)
-    stuck_open = np.zeros(n, dtype=bool)
-    stuck_closed = np.zeros(n, dtype=bool)
-    for i, (lo, hi) in enumerate(map(tuple, sites.tolist())):
-        if (lo, hi) in open_set:
-            stuck_open[i] = True
-        elif (lo, hi) in closed_set:
-            stuck_closed[i] = True
     endpoint_dead = dead[sites[:, 0]] | dead[sites[:, 1]]
     conducts_programmed = ~stuck_open & ~endpoint_dead
     conducts_erased = stuck_closed
@@ -110,7 +116,7 @@ def _observe_electrical(
     marks faulty (a dead node faults every incident site), then the
     half-select two-pattern `run_bist` reads them back electrically.
     """
-    from ..config.bitstream import _owning_tile
+    from ..config.bitstream import _owning_tiles
     from ..crossbar.bist import StuckMode, faulty_crossbar, run_bist
     from ..crossbar.halfselect import solve_voltages
     from ..nemrelay import AIR, POLYSILICON, SCALED_22NM_DEVICE
@@ -127,8 +133,9 @@ def _observe_electrical(
 
     groups: Dict[Tuple[int, int], List[int]] = {}
     site_list = [tuple(s) for s in sites.tolist()]
-    for i, (lo, hi) in enumerate(site_list):
-        groups.setdefault(_owning_tile(ir, lo, hi), []).append(i)
+    tx, ty = _owning_tiles(ir, sites[:, 0], sites[:, 1])
+    for i, tile in enumerate(zip(tx.tolist(), ty.tolist())):
+        groups.setdefault(tile, []).append(i)
 
     conducts_programmed = np.zeros(len(sites), dtype=bool)
     conducts_erased = np.zeros(len(sites), dtype=bool)
@@ -161,6 +168,7 @@ def run_fabric_bist(
     truth: FabricDefectMap,
     electrical: bool = False,
     max_rows: int = 32,
+    _sites: Optional[np.ndarray] = None,
 ) -> FabricDefectMap:
     """Locate the faults of ``truth`` by testing, not by peeking.
 
@@ -173,12 +181,14 @@ def run_fabric_bist(
         electrical: Use the per-tile `RelayCrossbar` half-select
             backend instead of the analytic pattern evaluation.
         max_rows: Electrical backend array height limit.
+        _sites: ``switch_sites(ir)``, when the caller already holds
+            it; None recomputes it.
     """
     truth.validate_against(ir)
     with get_tracer().span(
         "faults.bist", electrical=electrical, faults=truth.total
     ) as span:
-        sites = switch_sites(ir)
+        sites = switch_sites(ir) if _sites is None else _sites
         if electrical:
             programmed, erased = _observe_electrical(ir, sites, truth, max_rows)
         else:

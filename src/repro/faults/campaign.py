@@ -93,21 +93,37 @@ def site_actuations(
     increments into a cumulative per-site accumulator that is handed
     back through ``for_fabric(..., actuations=...)`` — which is what
     makes mission fault sets nest across epochs.
+
+    ``sites`` must be in `switch_sites` order (strictly ascending
+    ``(lo, hi)`` pairs): each conducting edge finds its site by a
+    binary search over the encoded site keys.  Wear lands with one
+    unbuffered ``np.add.at`` in ``net_of_edge`` order, so a site both
+    of whose directions carry a net accumulates its two increments in
+    the same float order as a per-edge loop would.
     """
     from ..power.activity import DEFAULT_INPUT_ACTIVITY
 
     actuations = np.full(len(sites), float(reconfigurations))
-    if bitstream is not None and cycles > 0 and len(sites):
-        site_index = {
-            (int(lo), int(hi)): i for i, (lo, hi) in enumerate(sites)}
-        for (u, v), net in getattr(bitstream, "net_of_edge", {}).items():
-            idx = site_index.get((min(u, v), max(u, v)))
-            if idx is None:
-                continue
-            density = DEFAULT_INPUT_ACTIVITY
-            if activities is not None:
-                density = activities.get(net, DEFAULT_INPUT_ACTIVITY)
-            actuations[idx] += cycles * density
+    net_of_edge = getattr(bitstream, "net_of_edge", None)
+    if not net_of_edge or cycles <= 0 or not len(sites):
+        return actuations
+    edges = np.array(list(net_of_edge), dtype=np.int64).reshape(-1, 2)
+    lo = np.minimum(edges[:, 0], edges[:, 1])
+    hi = np.maximum(edges[:, 0], edges[:, 1])
+    base = np.int64(max(int(sites.max()), int(hi.max())) + 1)
+    keys = sites[:, 0].astype(np.int64) * base + sites[:, 1]
+    if len(keys) > 1 and not bool(np.all(keys[1:] > keys[:-1])):
+        raise ValueError("sites must be in switch_sites order")
+    query = lo * base + hi
+    idx = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    found = keys[idx] == query
+    if activities is None:
+        density = np.full(len(edges), DEFAULT_INPUT_ACTIVITY)
+    else:
+        density = np.array([
+            activities.get(net, DEFAULT_INPUT_ACTIVITY)
+            for net in net_of_edge.values()], dtype=np.float64)
+    np.add.at(actuations, idx[found], cycles * density[found])
     return actuations
 
 
@@ -169,6 +185,7 @@ class FaultCampaign:
         bitstream: Optional[object] = None,
         activities: Optional[Dict[str, float]] = None,
         actuations: Optional[np.ndarray] = None,
+        _sites: Optional[np.ndarray] = None,
     ) -> FabricDefectMap:
         """Sample this campaign's defect map for one concrete fabric.
 
@@ -189,12 +206,15 @@ class FaultCampaign:
                 across epochs; because the underlying uniform draw is
                 fixed by ``(seed, fabric key)``, monotonically growing
                 actuations produce monotonically nested fault sets.
+            _sites: ``switch_sites(ir)``, when the caller already holds
+                it (the mission simulator does, once per fabric);
+                None recomputes it.
         """
         key = fabric_key_of(ir)
         with get_tracer().span(
             "faults.campaign", mode=self.mode, seed=self.seed
         ) as span:
-            sites = switch_sites(ir)
+            sites = switch_sites(ir) if _sites is None else _sites
             if actuations is not None:
                 if self.mode != "aging":
                     raise ValueError(

@@ -372,14 +372,16 @@ def _route_widened(
 
     Samples the campaign's faults on the fresh fabric (node ids — and
     the physical relay population — change with the width) and reroutes
-    every net around them.  Returns ``(routing, ir, width, defects)``
-    or None when the wider fabric cannot carry the design either.
+    every net around them.  Returns ``(routing, ir, width, defects,
+    sites)`` or None when the wider fabric cannot carry the design
+    either.
     """
     params = placement.clustered.params
     wide_ir = get_fabric(
         params.with_channel_width(new_width),
         placement.grid_width, placement.grid_height)
-    wide_defects = campaign.for_fabric(wide_ir)
+    wide_sites = switch_sites(wide_ir)
+    wide_defects = campaign.for_fabric(wide_ir, _sites=wide_sites)
     router = PathFinderRouter(
         wide_ir,
         blocked_nodes=sorted(wide_defects.blocked_nodes()),
@@ -389,7 +391,7 @@ def _route_widened(
     result = router.route(build_route_nets(placement))
     if not result.success:
         return None
-    return result, wide_ir, new_width, wide_defects
+    return result, wide_ir, new_width, wide_defects, wide_sites
 
 
 def _simulate_trajectory(
@@ -439,9 +441,8 @@ def _simulate_trajectory(
                 placement, campaign,
                 state.channel_width + policy.widen_step, **router_kwargs)
             if outcome is not None:
-                routing, wide_ir, wide_width, wide_defects = outcome
+                routing, wide_ir, wide_width, wide_defects, sites = outcome
                 state = state.with_routing(routing, wide_ir, wide_width)
-                sites = switch_sites(wide_ir)
                 # The wider fabric's relays carry only the programming
                 # baseline — exactly the wear the campaign sampled for
                 # it — so the accumulator re-baselines to match and
@@ -484,7 +485,8 @@ def _simulate_trajectory(
                 seed=campaign_seed, mode="aging",
                 cycles=cum_cycles, reconfigurations=cum_reconfig,
                 eta=spec.eta, beta=spec.beta)
-            true_map = campaign.for_fabric(state.graph, actuations=actuations)
+            true_map = campaign.for_fabric(
+                state.graph, actuations=actuations, _sites=sites)
             if prev_map is not None and not defect_maps_nested(
                 prev_map, true_map
             ):
@@ -509,7 +511,8 @@ def _simulate_trajectory(
                 scheduled = (policy.bist_period is not None
                              and epoch % policy.bist_period == 0)
                 if scheduled:
-                    known = run_fabric_bist(state.graph, current_map)
+                    known = run_fabric_bist(
+                        state.graph, current_map, _sites=sites)
                     bist_ran = True
                     bist_runs += 1
                     detected = known.total
@@ -531,7 +534,8 @@ def _simulate_trajectory(
                 # -- reaction (the failure already cost this epoch) ------
                 if alive and victims:
                     if policy.reactive:
-                        known = run_fabric_bist(state.graph, current_map)
+                        known = run_fabric_bist(
+                            state.graph, current_map, _sites=sites)
                         bist_ran = True
                         bist_runs += 1
                         detected = known.total

@@ -60,13 +60,12 @@ def find_victims(
     blocked_edges = defects.blocked_edges()
     victims = []
     for name, tree in routing.trees.items():
-        if blocked_nodes and any(n in blocked_nodes for n in tree.nodes):
+        if blocked_nodes and not blocked_nodes.isdisjoint(tree.nodes):
             victims.append(name)
-            continue
-        if blocked_edges and any(
-            parent >= 0 and (parent, node) in blocked_edges
-            for node, parent in tree.parent.items()
+        elif blocked_edges and not blocked_edges.isdisjoint(
+            zip(tree.parent.values(), tree.parent)
         ):
+            # The root's (-1, source) pair can never be a blocked edge.
             victims.append(name)
     return sorted(victims)
 

@@ -45,7 +45,12 @@ The invariants that make this provable rather than hopeful:
 * structural prunings (compacting blocked edges out of the CSR,
   dropping wire->IPIN edges into non-target tiles) only remove
   expansions that provably cannot change ``dist``/``came`` along any
-  traced path.
+  traced path;
+* the target tile's wire->IPIN edges, re-attached per search from a
+  table the kernel builds lazily the first time a search targets
+  that tile, keep their CSR order within each wire's list, so the
+  relaxation order (and every heap tie) matches an eagerly built
+  table.
 
 `tests/vpr/test_route_kernels.py` is the differential harness that
 enforces the contract; it (and `benchmarks/bench_route_kernel.py`)
@@ -114,10 +119,6 @@ def make_kernel(name: str, router: "PathFinderRouter") -> "RouteKernel":
         delay_costs=router._delay_costs,
         astar_fac=router.astar_fac,
     )
-
-
-def _no_extra(_u: int) -> None:
-    return None
 
 
 class RouteKernel:
@@ -395,7 +396,11 @@ class NumpyKernel(RouteKernel):
     Structure: blocked edges are compacted out of the CSR once, and
     wire->IPIN edges are dropped — IPINs are only ever *entered* on
     the target tile, so those in-edges are re-attached per search from
-    a precomputed per-tile table.  With those edges gone, no search
+    a per-tile ``{wire: [ipin, ...]}`` table.  The kernel keeps those
+    edges as one numpy index sorted by target tile and builds a tile's
+    table from its slice the first time a search targets that tile, so
+    constructing a router costs no per-edge Python loop, and no table
+    outlives its router.  With those edges gone, no search
     can reach a source, a non-target sink or an IPIN off the target
     tile, so the cost vector needs no per-search patching: only
     out-of-box and blocked nodes fold to ``+inf``.  The
@@ -454,14 +459,20 @@ class NumpyKernel(RouteKernel):
         np.cumsum(counts, out=offs[1:])
         self._k_offsets = offs.tolist()
         self._k_targets = tgt[keep].tolist()
-        # Per-tile IPIN tables for the per-search re-attachment.
+        # Wire->IPIN edges for the per-search re-attachment, as a
+        # numpy index sorted (stably, so CSR order holds within a tile)
+        # by target tile; each tile's table is built on first use.
         ipin_sel = to_ipin if edge_ok is None else (to_ipin & edge_ok)
-        xs, ys = ir.xs, ir.ys
-        tile_extra: Dict[Tuple[int, int], Dict[int, List[int]]] = {}
-        for u, v in zip(src[ipin_sel].tolist(), tgt[ipin_sel].tolist()):
-            tile_extra.setdefault(
-                (int(xs[v]), int(ys[v])), {}).setdefault(u, []).append(v)
-        self._tile_extra = tile_extra
+        ipin_u, ipin_v = src[ipin_sel], tgt[ipin_sel]
+        tile_id = ir.xs[ipin_v].astype(np.int64) * ir.ny + ir.ys[ipin_v]
+        order = np.argsort(tile_id, kind="stable")
+        self._ipin_u = ipin_u[order]
+        self._ipin_v = ipin_v[order]
+        tile_offs = np.zeros(ir.nx * ir.ny + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tile_id, minlength=ir.nx * ir.ny),
+                  out=tile_offs[1:])
+        self._ipin_tile_offsets = tile_offs
+        self._tile_extra: Dict[Tuple[int, int], Dict[int, List[int]]] = {}
         # INF-sentinel scratch (restored via the touched list).
         self._dist = [INF] * n
         self._came = [0] * n
@@ -538,6 +549,22 @@ class NumpyKernel(RouteKernel):
                 self._h_cache[t] = h
         return h
 
+    def _tile_table(self, tile: Tuple[int, int]) -> Dict[int, List[int]]:
+        """``{wire: [ipin, ...]}`` of the unblocked wire->IPIN edges
+        into ``tile``, in CSR order (built on the first search that
+        targets the tile, then kept for this router's lifetime)."""
+        table = self._tile_extra.get(tile)
+        if table is None:
+            t = tile[0] * self.fabric.ny + tile[1]
+            lo = int(self._ipin_tile_offsets[t])
+            hi = int(self._ipin_tile_offsets[t + 1])
+            table = {}
+            for u, v in zip(self._ipin_u[lo:hi].tolist(),
+                            self._ipin_v[lo:hi].tolist()):
+                table.setdefault(u, []).append(v)
+            self._tile_extra[tile] = table
+        return table
+
     def _bbox_out(self, bb: Tuple[float, float, float, float]) -> np.ndarray:
         mask = self._bb_cache.get(bb)
         if mask is None:
@@ -593,8 +620,7 @@ class NumpyKernel(RouteKernel):
         while remaining:
             target_sink = self._next_sink(remaining, source, shuffled_order)
             ha = self._heuristic(target_sink)
-            extra = self._tile_extra.get(targets[target_sink])
-            get_extra = extra.get if extra is not None else _no_extra
+            get_extra = self._tile_table(targets[target_sink]).get
             touched: List[int] = []
             heap: List[Tuple[float, float, int]] = []
             for node in tree_nodes:

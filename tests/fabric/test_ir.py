@@ -57,15 +57,20 @@ class TestEdgeSwitchTable:
                     int(ir.kind[u]), int(ir.kind[v])
                 )
 
-    def test_switch_kind_between(self, ir):
-        offsets = ir.csr_offsets()
-        targets = ir.csr_targets()
-        u = next(u for u in range(ir.num_nodes)
-                 if offsets[u + 1] > offsets[u])
-        v = targets[offsets[u]]
-        assert ir.switch_kind_between(u, v) is SwitchKind(
-            int(ir.edge_switch[offsets[u]])
-        )
+    @pytest.mark.parametrize("directionality", ["bidir", "unidir"])
+    def test_switch_kind_between_every_edge(self, directionality):
+        graph = FabricIR.build(
+            ArchParams(channel_width=8, segment_length=2,
+                       directionality=directionality), 4, 4)
+        offsets = graph.csr_offsets()
+        targets = graph.csr_targets()
+        kinds = set()
+        for u in range(graph.num_nodes):
+            for e in range(offsets[u], offsets[u + 1]):
+                kind = graph.switch_kind_between(u, targets[e])
+                assert kind is SwitchKind(int(graph.edge_switch[e]))
+                kinds.add(kind)
+        assert kinds == set(SwitchKind)
 
     def test_switch_kind_between_non_edge(self, ir):
         # SOURCE never points at another SOURCE: classifier fallback.

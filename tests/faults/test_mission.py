@@ -23,6 +23,16 @@ from .conftest import ARCH
 #: policies actually differ.
 WEAR = dict(epochs=4, years=40.0, campaigns=2, base_seed=0)
 
+#: `MissionResult.digest` of the `missions` fixture per policy.
+GOLDEN_DIGESTS = {
+    "every-epoch-bist":
+        "f36add1640af02a2f4dc3106d736e3977f8c59b9e0e0e3212a5e4c456d8b6fcc",
+    "never":
+        "855a8ee4ffe4ee5d98894b948be5ff28741e6b3095e6ac19fb16a06e3873ffd3",
+    "widen-early":
+        "2aecad8cd2f5664aad618065788f7af1ea3fb80af34c9e42019861e273b86a60",
+}
+
 
 @pytest.fixture(scope="module")
 def flow(netlist):
@@ -120,6 +130,14 @@ class TestDeterminism:
         again = run_mission(
             netlist, ARCH, MissionSpec(policy="never", **WEAR), flow=flow)
         assert again.digest == missions["never"].digest
+
+    def test_golden_digests(self, missions):
+        """Pinned digests: a change to wear accrual, fault sampling,
+        BIST, victim detection or repair that alters any epoch record
+        (wear is a float sum, so even its order) moves these."""
+        assert {p: m.digest for p, m in missions.items()} == GOLDEN_DIGESTS
+        assert [t.final_channel_width
+                for t in missions["widen-early"].trajectories] == [50, 50]
 
     def test_different_policy_different_digest(self, missions):
         assert missions["never"].digest != missions["every-epoch-bist"].digest

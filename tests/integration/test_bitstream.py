@@ -4,10 +4,13 @@ The executable bridge between the paper's Sec. 2 (half-select
 programming) and Sec. 3 (routed CMOS-NEM FPGAs).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.arch.params import ArchParams
 from repro.config import (
+    Bitstream,
     extract_bitstream,
     plan_tile_arrays,
     program_fabric,
@@ -20,9 +23,11 @@ from repro.fabric import (
     KIND_SINK,
     KIND_SOURCE,
     KIND_VWIRE,
+    SwitchKind,
 )
 from repro.netlist.generate import GeneratorParams, generate
 from repro.vpr.flow import run_flow
+from repro.vpr.route import RouteTree
 
 ARCH = ArchParams(channel_width=48)
 
@@ -88,6 +93,86 @@ class TestExtraction:
         inventory = build_inventory(ARCH)
         u = bitstream.utilization(inventory.routing_switches)
         assert 0 < u < 1.0
+
+
+def reference_owning_tile(ir, u, v):
+    """The per-edge tile rule `extract_bitstream` once applied."""
+    kind, xs, ys = ir.kind, ir.xs, ir.ys
+    if kind[v] < KIND_HWIRE:
+        return (int(xs[v]), int(ys[v]))
+    if kind[u] < KIND_HWIRE:
+        return (int(xs[u]), int(ys[u]))
+    return (min(int(xs[v]), ir.nx - 1), min(int(ys[v]), ir.ny - 1))
+
+
+def reference_extract_bitstream(routing, ir):
+    """The per-edge walk `extract_bitstream` replaced (the oracle)."""
+    switches = {}
+    net_of_edge = {}
+    for name, tree in routing.trees.items():
+        for node, parent in tree.parent.items():
+            if parent < 0:
+                continue
+            if ir.switch_kind_between(parent, node) is SwitchKind.NONE:
+                continue
+            edge = (parent, node)
+            tile = reference_owning_tile(ir, parent, node)
+            switches.setdefault(tile, set()).add(edge)
+            net_of_edge[edge] = name
+    return Bitstream(
+        switches_by_tile={t: sorted(e) for t, e in switches.items()},
+        net_of_edge=net_of_edge,
+    )
+
+
+def assert_same_bitstream(got, want):
+    """Equal content *and* dict order: wear accrual walks
+    ``net_of_edge`` and array planning walks ``switches_by_tile``."""
+    assert list(got.net_of_edge.items()) == list(want.net_of_edge.items())
+    assert list(got.switches_by_tile.items()) == \
+        list(want.switches_by_tile.items())
+    for u, v in got.net_of_edge:
+        assert type(u) is int and type(v) is int
+
+
+class TestVectorExtraction:
+    def test_matches_per_edge_walk(self, flow, bitstream):
+        assert_same_bitstream(
+            bitstream, reference_extract_bitstream(flow.routing, flow.graph))
+
+    def test_matches_on_unidir(self):
+        arch = ArchParams(channel_width=32, directionality="unidir")
+        netlist = generate(GeneratorParams(
+            "bits-uni", num_luts=60, ff_fraction=0.25, seed=5))
+        result = run_flow(netlist, arch)
+        assert result.success
+        assert_same_bitstream(
+            extract_bitstream(result.routing, result.graph),
+            reference_extract_bitstream(result.routing, result.graph))
+
+    def test_shared_and_reordered_trees(self, flow):
+        """Trees in reverse order with one edge claimed by two nets:
+        the first claim fixes the edge's position, the last its net,
+        and the tile lists it once."""
+        trees = list(flow.routing.trees.items())[::-1]
+        (first, t1), (second, t2) = trees[0], trees[1]
+        node, parent = next(
+            (n, p) for n, p in t1.parent.items()
+            if p >= 0 and flow.graph.kind[n] >= KIND_HWIRE)
+        t2 = RouteTree(nodes=t2.nodes + [node],
+                       parent={**t2.parent, node: parent},
+                       sink_nodes=t2.sink_nodes)
+        trees[1] = (second, t2)
+        routing = dataclasses.replace(flow.routing, trees=dict(trees))
+        got = extract_bitstream(routing, flow.graph)
+        assert_same_bitstream(
+            got, reference_extract_bitstream(routing, flow.graph))
+        assert got.net_of_edge[(parent, node)] == second
+
+    def test_empty_routing(self, flow):
+        routing = dataclasses.replace(flow.routing, trees={})
+        got = extract_bitstream(routing, flow.graph)
+        assert got.switches_by_tile == {} and got.net_of_edge == {}
 
 
 class TestArrayPlanning:

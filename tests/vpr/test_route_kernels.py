@@ -10,7 +10,10 @@ cache keys or artefact digests), so it is enforced here, not assumed:
 * a (directionality x width x circuit x seed) differential grid,
 * a routing-*failure* case (both kernels must fail identically —
   same overused count, same convergence trace),
-* defect cases (blocked nodes, blocked directed edges),
+* defect cases (blocked nodes, blocked directed edges, blocked
+  wire->IPIN taps),
+* the numpy kernel's lazily built per-tile IPIN tables against the
+  eager build they replaced,
 * timing-driven costs, pinned ``fixed_trees`` (incremental repair),
   stalled negotiations that escalate to sink-order shuffles, and a
   whole channel-width search,
@@ -32,7 +35,7 @@ from hypothesis import given, settings, strategies as st
 from repro.arch.params import ArchParams
 from repro.core.variants import baseline_variant
 from repro.fabric import get_fabric
-from repro.fabric.build import KIND_HWIRE, KIND_VWIRE
+from repro.fabric.build import KIND_HWIRE, KIND_IPIN, KIND_VWIRE
 from repro.netlist import load_circuit
 from repro.netlist.generate import GeneratorParams, generate
 from repro.vpr.flow import find_min_channel_width
@@ -309,3 +312,89 @@ class TestRouterLifetime:
             assert kernel_ref() is None
         finally:
             gc.enable()
+
+
+def eager_tile_tables(ir, blocked_edges):
+    """The numpy kernel's per-tile ``{wire: [ipin, ...]}`` tables as
+    it once built them eagerly, one Python step per wire->IPIN edge
+    (the oracle for the lazy build)."""
+    n = ir.num_nodes
+    tables = {}
+    off, tgt = ir.csr_offsets(), ir.csr_targets()
+    for u in range(n):
+        if ir.kind[u] not in (KIND_HWIRE, KIND_VWIRE):
+            continue
+        for v in tgt[off[u]:off[u + 1]]:
+            if ir.kind[v] != KIND_IPIN or u * n + v in blocked_edges:
+                continue
+            tile = (int(ir.xs[v]), int(ir.ys[v]))
+            tables.setdefault(tile, {}).setdefault(u, []).append(v)
+    return tables
+
+
+def wire_ipin_edges(ir):
+    off, tgt = ir.csr_offsets(), ir.csr_targets()
+    return [
+        (u, v)
+        for u in range(ir.num_nodes)
+        if ir.kind[u] in (KIND_HWIRE, KIND_VWIRE)
+        for v in tgt[off[u]:off[u + 1]]
+        if ir.kind[v] == KIND_IPIN
+    ]
+
+
+class TestLazyTileTables:
+    @pytest.fixture(scope="class")
+    def graph(self, placement):
+        return get_fabric(ARCH, placement.grid_width, placement.grid_height)
+
+    @pytest.fixture(scope="class")
+    def blocked(self, graph):
+        """Random wire->IPIN taps, plus every tap of one wire into one
+        tile, so that ``(tile, wire)`` has no usable IPIN edge left."""
+        taps = wire_ipin_edges(graph)
+        blocked = set(random.Random(11).sample(taps, len(taps) // 10))
+        u, v = taps[len(taps) // 2]
+        tile = (int(graph.xs[v]), int(graph.ys[v]))
+        whole = {
+            (a, b) for a, b in taps
+            if a == u and (int(graph.xs[b]), int(graph.ys[b])) == tile}
+        return blocked | whole, (tile, u)
+
+    @pytest.mark.parametrize("with_blocked", [False, True])
+    def test_every_tile_matches_eager_build(self, graph, blocked,
+                                            with_blocked):
+        edges = blocked[0] if with_blocked else set()
+        router = PathFinderRouter(graph, blocked_edges=edges)
+        eager = eager_tile_tables(graph, router._blocked_edges)
+        for x in range(graph.nx):
+            for y in range(graph.ny):
+                lazy = router._kernel._tile_table((x, y))
+                # Same wires in the same order, each with the same IPINs
+                # in the same (CSR) order.
+                assert list(lazy.items()) == list(
+                    eager.get((x, y), {}).items())
+
+    def test_fully_blocked_wire_has_no_entry(self, graph, blocked):
+        edges, (tile, u) = blocked
+        router = PathFinderRouter(graph, blocked_edges=edges)
+        assert u not in router._kernel._tile_table(tile)
+        unblocked = PathFinderRouter(graph)
+        assert u in unblocked._kernel._tile_table(tile)
+
+    def test_tables_are_built_on_demand(self, graph, placement):
+        router = PathFinderRouter(graph)
+        assert router._kernel._tile_extra == {}
+        nets = build_route_nets(placement)
+        assert router.route(nets[:3]).success
+        built = set(router._kernel._tile_extra)
+        targeted = {tile for net in nets[:3] for tile in net.sink_tiles}
+        assert built and built <= targeted
+
+    def test_blocked_taps_route_identically(self, placement, blocked):
+        ref, vec = route_pair(placement, ARCH, blocked_edges=blocked[0])
+        assert ref.success
+        for tree in ref.trees.values():
+            for node, parent in tree.parent.items():
+                assert (parent, node) not in blocked[0]
+        assert fingerprint(vec) == fingerprint(ref)
