@@ -17,7 +17,7 @@ from ..power.activity import ActivityModel, estimate_activities
 from ..power.dynamic import dynamic_power, total_dynamic
 from ..power.leakage import fpga_leakage, total_leakage
 from ..vpr.flow import FlowResult
-from ..vpr.timing import TimingReport, analyze_timing
+from ..vpr.timing import TimingExtraction, TimingReport
 from .variants import FpgaVariant
 
 
@@ -68,6 +68,7 @@ def evaluate_design(
     activities: Optional[Mapping[str, float]] = None,
     frequency: Optional[float] = None,
     activity_model: ActivityModel = ActivityModel(),
+    _timing: Optional[TimingExtraction] = None,
 ) -> DesignPoint:
     """Evaluate one routed circuit under one variant's electricals.
 
@@ -79,6 +80,9 @@ def evaluate_design(
         frequency: Clock for dynamic power; defaults to this variant's
             own maximum (1/critical path).  Pass the baseline's f_max
             for the paper's iso-performance comparisons.
+        _timing: ``TimingExtraction`` of ``flow``, when the caller
+            evaluates many variants of one routing (`sweep_circuit`);
+            None extracts it here.
     """
     tracer = get_tracer()
     with tracer.span(
@@ -87,7 +91,9 @@ def evaluate_design(
         variant=variant.config.kind.name,
     ) as span:
         fabric = variant.fabric()
-        timing = analyze_timing(flow.placement, flow.routing, flow.graph, fabric)
+        if _timing is None:
+            _timing = TimingExtraction(flow.placement, flow.routing, flow.graph)
+        timing = _timing.evaluate(fabric)
         if activities is None:
             activities = estimate_activities(flow.netlist, activity_model)
         crit = timing.critical_path

@@ -18,7 +18,9 @@ from typing import Dict, List, Optional, Sequence
 
 from ..arch.params import ArchParams
 from ..circuits.ptm import PTM_22NM, Technology
+from ..power.activity import estimate_activities
 from ..vpr.flow import FlowResult
+from ..vpr.timing import TimingExtraction
 from .evaluate import Comparison, DesignPoint, evaluate_design
 from .variants import (
     FpgaVariant,
@@ -77,18 +79,23 @@ def sweep_circuit(
 ) -> TradeoffCurve:
     """Run the Fig. 12 sweep for one routed circuit.
 
-    All variants reuse the circuit's single P&R result; power is
-    evaluated at the baseline's maximum operating frequency (the
-    paper's iso-performance comparison).
+    All variants reuse the circuit's single P&R result, so its timing
+    structure and activities are extracted once; power is evaluated at
+    the baseline's maximum operating frequency (the paper's
+    iso-performance comparison).
     """
     if not downsizes:
         raise ValueError("need at least one downsize factor")
-    baseline = evaluate_design(flow, baseline_variant(params, tech))
+    shared = dict(
+        activities=estimate_activities(flow.netlist),
+        _timing=TimingExtraction(flow.placement, flow.routing, flow.graph),
+    )
+    baseline = evaluate_design(flow, baseline_variant(params, tech), **shared)
     f_ref = 1.0 / baseline.critical_path
     points: List[TradeoffPoint] = []
     for downsize in downsizes:
         variant = optimized_nem_variant(params, downsize, tech)
-        point = evaluate_design(flow, variant, frequency=f_ref)
+        point = evaluate_design(flow, variant, frequency=f_ref, **shared)
         cmp = Comparison.of(baseline, point)
         points.append(
             TradeoffPoint(
@@ -101,7 +108,8 @@ def sweep_circuit(
         )
     naive_cmp: Optional[Comparison] = None
     if include_naive:
-        naive_point = evaluate_design(flow, naive_nem_variant(params, tech), frequency=f_ref)
+        naive_point = evaluate_design(
+            flow, naive_nem_variant(params, tech), frequency=f_ref, **shared)
         naive_cmp = Comparison.of(baseline, naive_point)
     return TradeoffCurve(
         circuit=flow.netlist.name, points=points, baseline=baseline, naive=naive_cmp

@@ -461,7 +461,8 @@ def _simulate_trajectory(
             if repair.channel_width != state.channel_width:
                 state = state.with_routing(
                     repair.routing, repair.graph, repair.channel_width)
-                sites = switch_sites(repair.graph)
+                sites = (repair.sites if repair.sites is not None
+                         else switch_sites(repair.graph))
                 actuations = np.full(len(sites), cum_reconfig)
                 current_map = repair.defects
             else:

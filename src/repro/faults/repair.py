@@ -30,6 +30,8 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from ..fabric import FabricIR, get_fabric
 from ..obs import get_logger, get_publisher, get_registry, get_tracer, kv
 from ..vpr.place import Placement
@@ -39,6 +41,7 @@ from ..vpr.route import (
     build_route_nets,
     tree_wirelength,
 )
+from .campaign import FaultCampaign, switch_sites
 from .defects import FabricDefectMap, resolve_defects
 
 _log = get_logger("faults.repair")
@@ -100,6 +103,8 @@ class RepairResult:
         victim_nets: Nets the defect map displaced from the original.
         nets_ripped: Total nets ripped up across all attempted stages.
         attempts: Ladder rungs in the order tried.
+        sites: ``switch_sites(graph)`` when the widened rung enumerated
+            it to sample a `FaultCampaign`; None otherwise.
     """
 
     stage: str
@@ -111,6 +116,7 @@ class RepairResult:
     victim_nets: List[str]
     nets_ripped: int
     attempts: List[RepairAttempt]
+    sites: Optional[np.ndarray] = None
 
     @property
     def stage_index(self) -> int:
@@ -169,7 +175,7 @@ def repair_routing(
     def _finish(
         stage: str, success: bool, result: RoutingResult,
         ir: FabricIR, w: int, final_defects: FabricDefectMap,
-        victims: List[str],
+        victims: List[str], sites: Optional[np.ndarray] = None,
     ) -> RepairResult:
         registry.gauge("repair.stage").set(REPAIR_STAGES.index(stage))
         if not success:
@@ -178,6 +184,7 @@ def repair_routing(
             stage=stage, success=success, routing=result, graph=ir,
             channel_width=w, defects=final_defects,
             victim_nets=victims, nets_ripped=nets_ripped, attempts=attempts,
+            sites=sites,
         )
 
     with get_tracer().span(
@@ -261,7 +268,13 @@ def repair_routing(
             wide_ir = get_fabric(
                 params.with_channel_width(new_width),
                 placement.grid_width, placement.grid_height)
-            wide_defects = resolve_defects(campaign, wide_ir)
+            if isinstance(campaign, FaultCampaign):
+                # Enumerated once; the caller reuses it for this fabric.
+                wide_sites = switch_sites(wide_ir)
+                wide_defects = campaign.for_fabric(wide_ir, _sites=wide_sites)
+            else:
+                wide_sites = None
+                wide_defects = resolve_defects(campaign, wide_ir)
             if wide_defects is None:
                 from .defects import empty_defect_map
                 wide_defects = empty_defect_map(wide_ir)
@@ -285,7 +298,7 @@ def repair_routing(
                 _log.info("repair ok %s", kv(stage="widened", width=new_width))
                 return _finish(
                     "widened", True, wide, wide_ir, new_width, wide_defects,
-                    victims)
+                    victims, wide_sites)
 
         span.set("stage", "failed")
         _log.info("repair failed %s", kv(victims=len(victims)))

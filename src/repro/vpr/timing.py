@@ -14,8 +14,7 @@ the maximum over FF data inputs and primary outputs.
 from __future__ import annotations
 
 import dataclasses
-from collections import defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -25,11 +24,8 @@ from ..fabric import (
     KIND_HWIRE,
     KIND_IPIN,
     KIND_OPIN,
-    KIND_SINK,
-    KIND_SOURCE,
     KIND_VWIRE,
     FabricIR,
-    SwitchKind,
     as_fabric,
 )
 from ..netlist.core import BlockType
@@ -198,12 +194,179 @@ class NetDelays:
         return self.cap_wire + self.cap_buffer + self.cap_switch
 
 
-def _tree_children(tree: RouteTree) -> Dict[int, List[int]]:
-    children: Dict[int, List[int]] = defaultdict(list)
-    for node, parent in tree.parent.items():
-        if parent >= 0:
-            children[parent].append(node)
-    return children
+#: Node stage codes of the extracted trees: no RC stage (SOURCE, OPIN,
+#: SINK), a wire segment, an LB input pin.  A wire's child code is
+#: what its far end drives: another wire's switch or an input tap.
+_NO_STAGE, _WIRE, _IPIN = 0, 1, 2
+
+
+def _stage_codes(kind: np.ndarray) -> np.ndarray:
+    codes = np.where((kind == KIND_HWIRE) | (kind == KIND_VWIRE), _WIRE, _NO_STAGE)
+    return np.where(kind == KIND_IPIN, _IPIN, codes).astype(np.int8)
+
+
+def _last_of_running_sum(terms: np.ndarray) -> np.ndarray:
+    """Row sums of ``terms`` added strictly left to right: the scalar
+    ``acc += term`` loop's IEEE result (``np.sum`` pairs terms up).
+    Zero padding on the right leaves a sum unchanged."""
+    return np.add.accumulate(terms, axis=1)[:, -1]
+
+
+class _RoutedNets:
+    """The variant-independent part of stage-walk Elmore extraction
+    for a set of routed trees.
+
+    Wire segments are stages.  With wire buffers, each stage is driven
+    by its buffer (previous stage sees only the buffer's input cap);
+    without, resistance accumulates down the path (true unbuffered
+    Elmore chain).  Off-switch loading applies to every wire.
+
+    Nodes of all nets are flattened, each net's in ``tree.parent``
+    insertion order: that order fixes the children each wire's far-end
+    load sums over, and so its floating-point result.  Switched
+    capacitance sums run in ``tree.nodes`` order, one padded row per
+    net.  `evaluate` then computes every node's stage delay for one
+    `FabricElectrical` as array passes, repeating the scalar walk's
+    IEEE operations per element, in its order.
+    """
+
+    def __init__(self, trees: Mapping[str, RouteTree], ir: FabricIR) -> None:
+        self.names = list(trees)
+        nodes: List[int] = []
+        ups: List[int] = []
+        sinks: List[int] = []
+        self.tiles: List[List[Tuple[int, int]]] = []
+        #: Net name -> sink tile -> flat node index of the sink that
+        #: sets the tile's delay (the last one reaching it).
+        self.sink_of: Dict[str, Dict[Tuple[int, int], int]] = {}
+        for name, tree in trees.items():
+            pos = {node: len(nodes) + i for i, node in enumerate(tree.parent)}
+            nodes.extend(tree.parent)
+            ups.extend(pos.get(up, -1) for up in tree.parent.values())
+            net_sinks = [pos[sink] for sink in tree.sink_nodes]
+            tiles = [(int(ir.xs[s]), int(ir.ys[s])) for s in tree.sink_nodes]
+            sinks.extend(net_sinks)
+            self.tiles.append(tiles)
+            self.sink_of[name] = dict(zip(tiles, net_sinks))
+        self.sink_bounds = np.cumsum([0] + [len(t) for t in self.tiles]).tolist()
+        self.sinks = np.array(sinks, dtype=np.int64)
+        self.ups = np.array(ups, dtype=np.int64)
+        node_ids = np.array(nodes, dtype=np.int64)
+        code = _stage_codes(ir.kind[node_ids])
+        self.wire = code == _WIRE
+        self.ipin = code == _IPIN
+        self.frac = np.where(
+            self.wire, ir.spans[node_ids].astype(np.float64) / ir.params.segment_length, 0.0)
+        has_up = self.ups >= 0
+        self.from_wire = np.zeros(len(nodes), dtype=bool)
+        self.from_wire[has_up] = self.wire[self.ups[has_up]]
+
+        # Each node's children codes, in insertion order, one row per node.
+        child = np.flatnonzero(has_up)
+        child = child[np.argsort(self.ups[child], kind="stable")]
+        up = self.ups[child]
+        first = np.flatnonzero(np.r_[True, up[1:] != up[:-1]])
+        rank = np.arange(len(up)) - np.repeat(first, np.diff(np.r_[first, len(up)]))
+        self.tail = np.zeros((len(nodes), max(1, int(rank.max(initial=0)) + 1)), dtype=np.int8)
+        self.tail[up, rank] = code[child]
+
+        # Topological levels, whatever the insertion order: a root
+        # (no parent in its tree) has arrival 0.
+        depth = np.where(has_up, -1, 0)
+        while (todo := np.flatnonzero(depth < 0)).size:
+            ready = todo[depth[self.ups[todo]] >= 0]
+            if not ready.size:
+                raise ValueError("route tree has a parent cycle")
+            depth[ready] = depth[self.ups[ready]] + 1
+        by_depth = np.argsort(depth, kind="stable")
+        cuts = np.searchsorted(depth[by_depth], np.arange(1, int(depth.max(initial=0)) + 2))
+        self.levels = np.split(by_depth, cuts)[1:-1]
+
+        # Switched-capacitance rows in `tree.nodes` order.
+        lengths = np.array([len(t.nodes) for t in trees.values()], dtype=np.int64)
+        flat = np.array([n for t in trees.values() for n in t.nodes], dtype=np.int64)
+        rows = np.repeat(np.arange(len(lengths)), lengths)
+        cols = np.arange(len(flat)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        width = max(1, int(lengths.max(initial=0)))
+        self.cap_code = np.zeros((len(lengths), width), dtype=np.int8)
+        self.cap_code[rows, cols] = _stage_codes(ir.kind[flat])
+        self.cap_frac = np.zeros((len(lengths), width))
+        self.cap_frac[rows, cols] = np.where(
+            self.cap_code[rows, cols] == _WIRE,
+            ir.spans[flat].astype(np.float64) / ir.params.segment_length, 0.0)
+        self.num_stages = (self.cap_code == _WIRE).sum(axis=1).tolist()
+
+    def evaluate(self, fabric: FabricElectrical) -> Tuple[np.ndarray, Dict[str, NetDelays]]:
+        """Arrival (s) at the output of every node's stage, and each
+        net's `NetDelays`, under ``fabric``."""
+        wb = fabric.wire_buffer
+        sc, sr = fabric.switch_c, fabric.switch_r
+        sink_in = fabric.sink_input_cap()
+        # Driver stage resistance at the OPIN: the LB output buffer if
+        # present, else the BLE's 2:1 output mux driver (a 2x inverter).
+        if fabric.lb_output_buffer is not None:
+            r_driver = fabric.lb_output_buffer.output_resistance
+        else:
+            r_driver = fabric.tech.transistor.inverter_drive_resistance / 2.0
+
+        frac = self.frac
+        c_here = fabric.wire_c * frac + fabric.wire_off_load * frac
+        tail_cap = np.array([0.0, 0.5 * sc + fabric.stage_input_cap(), 0.5 * sc + sink_in])
+        c_tail = _last_of_running_sum(tail_cap[self.tail])
+        r_wire = fabric.wire_r * frac
+        # Resistance from the stage driver to each wire's far end.
+        if wb is not None:
+            rres = wb.output_resistance + r_wire
+        else:
+            rres = np.zeros(len(frac))
+            for idx in self.levels:
+                up = np.where(self.from_wire[idx], rres[self.ups[idx]], r_driver)
+                rres[idx] = (up + sr) + r_wire[idx]
+        r_prev = rres[self.ups]
+        r_up = np.where(self.from_wire, r_prev, r_driver)
+        if wb is not None:
+            r_up = np.where(self.wire & self.from_wire, wb.output_resistance, r_up)
+        entry = _ELMORE * (r_up + sr)
+        t = entry * (0.5 * sc)
+        if wb is not None:
+            # The entry switch also charges the buffer input; then the
+            # buffer drives the wire.
+            t = t + entry * wb.input_capacitance
+            t = t + fabric.buffer_internal_delay(wb)
+            r_drv = wb.output_resistance
+        else:
+            r_drv = r_up + sr
+        t = t + _ELMORE * (r_drv * (c_here + c_tail) + r_wire * (0.5 * c_here + c_tail))
+        t = np.where(self.wire, t, np.where(self.ipin, entry * (0.5 * sc + sink_in), 0.0))
+        arrival = np.zeros(len(frac))
+        for idx in self.levels:
+            arrival[idx] = arrival[self.ups[idx]] + t[idx]
+
+        # Switched capacitance of each net, split per Fig. 9 category.
+        cf = self.cap_frac
+        cap_wire = _last_of_running_sum(fabric.wire_c * cf + fabric.wire_off_load * cf)
+        cap_switch = _last_of_running_sum(np.array([0.0, sc, 0.5 * sc])[self.cap_code])
+        buf_in = np.array([0.0, 0.0, sink_in])
+        buf_internal = np.zeros(3)
+        if wb is not None:
+            buf_in[_WIRE] = wb.input_capacitance
+            buf_internal[_WIRE] = wb.chain.internal_switching_capacitance()
+        nets, width = self.cap_code.shape
+        cap_buffer = _last_of_running_sum(np.stack(
+            (buf_in[self.cap_code], buf_internal[self.cap_code]), axis=2,
+        ).reshape(nets, 2 * width))
+
+        delays = arrival[self.sinks].tolist()
+        bounds = self.sink_bounds
+        return arrival, {
+            name: NetDelays(
+                delay_to_tile=dict(zip(self.tiles[i], delays[bounds[i]:bounds[i + 1]])),
+                cap_wire=wire_c, cap_buffer=buffer_c, cap_switch=switch_c,
+                num_stages=self.num_stages[i],
+            )
+            for i, (name, wire_c, buffer_c, switch_c) in enumerate(zip(
+                self.names, cap_wire.tolist(), cap_buffer.tolist(), cap_switch.tolist()))
+        }
 
 
 def analyze_net(
@@ -211,143 +374,9 @@ def analyze_net(
     graph: FabricIR,
     fabric: FabricElectrical,
 ) -> NetDelays:
-    """Stage-walk delay/capacitance extraction for one routed tree.
-
-    Wire segments are stages.  With wire buffers, each stage is driven
-    by its buffer (previous stage sees only the buffer's input cap);
-    without, resistance accumulates down the path (true unbuffered
-    Elmore chain).  Off-switch loading applies to every wire.
-
-    Tree-edge classification (what sits between a stage and the next)
-    comes from the IR's shared switch-kind table rather than a local
-    re-derivation from endpoint kinds.
-    """
-    ir = as_fabric(graph)
-    children = _tree_children(tree)
-    kind = ir.kind
-    xs, ys = ir.xs, ir.ys
-    seg_len = ir.params.segment_length
-
-    # Per-wire-node stage load (excluding downstream-through-buffer).
-    def wire_span_fraction(node_id: int) -> float:
-        return float(ir.spans[node_id]) / seg_len
-
-    def stage_load(node_id: int) -> Tuple[float, float]:
-        """(c_here, c_tail): cap on this wire and cap at its far end."""
-        frac = wire_span_fraction(node_id)
-        c_here = fabric.wire_c * frac + fabric.wire_off_load * frac
-        c_tail = 0.0
-        for child in children.get(node_id, ()):
-            sw = ir.switch_kind_between(node_id, child)
-            if sw is SwitchKind.WIRE_WIRE:
-                c_tail += 0.5 * fabric.switch_c + fabric.stage_input_cap()
-            elif sw is SwitchKind.WIRE_IPIN:
-                c_tail += 0.5 * fabric.switch_c + fabric.sink_input_cap()
-        return c_here, c_tail
-
-    # Switched capacitance of the net, split per Fig. 9 category.
-    cap_wire = 0.0
-    cap_buffer = 0.0
-    cap_switch = 0.0
-    for node_id in tree.nodes:
-        k = kind[node_id]
-        if k == KIND_HWIRE or k == KIND_VWIRE:
-            frac = wire_span_fraction(node_id)
-            cap_wire += fabric.wire_c * frac + fabric.wire_off_load * frac
-            cap_switch += fabric.switch_c
-            if fabric.wire_buffer is not None:
-                cap_buffer += fabric.wire_buffer.input_capacitance
-                cap_buffer += fabric.wire_buffer.chain.internal_switching_capacitance()
-        elif k == KIND_IPIN:
-            cap_switch += 0.5 * fabric.switch_c
-            cap_buffer += fabric.sink_input_cap()
-
-    # Driver stage resistance at the OPIN: the LB output buffer if
-    # present, else the BLE's 2:1 output mux driver (a 2x inverter).
-    if fabric.lb_output_buffer is not None:
-        r_driver = fabric.lb_output_buffer.output_resistance
-    else:
-        r_driver = fabric.tech.transistor.inverter_drive_resistance / 2.0
-
-    # Walk each root-to-sink path, accumulating stage delays.
-    delay_to_tile: Dict[Tuple[int, int], float] = {}
-    path_cache: Dict[int, float] = {}  # wire/ipin node -> arrival at node entry
-
-    def arrival(node_id: int) -> float:
-        """Delay from the net driver's output pin to the *output* of
-        this RR node's stage (cached, computed recursively)."""
-        if node_id in path_cache:
-            return path_cache[node_id]
-        parent = tree.parent[node_id]
-        k = kind[node_id]
-        if k == KIND_SOURCE or k == KIND_OPIN:
-            path_cache[node_id] = 0.0
-            return 0.0
-        t_parent = arrival(parent)
-        parent_kind = kind[parent]
-
-        if k == KIND_HWIRE or k == KIND_VWIRE:
-            c_here, c_tail = stage_load(node_id)
-            frac = wire_span_fraction(node_id)
-            r_wire = fabric.wire_r * frac
-            if ir.switch_kind_between(parent, node_id) is not SwitchKind.WIRE_WIRE:
-                # Entry from the driver side (OPIN -> wire switch).
-                r_up = r_driver
-            elif fabric.wire_buffer is not None:
-                r_up = fabric.wire_buffer.output_resistance
-            else:
-                r_up = path_rres.get(parent, r_driver)
-            # Through the entry switch:
-            t = _ELMORE * (r_up + fabric.switch_r) * (0.5 * fabric.switch_c)
-            if fabric.wire_buffer is not None:
-                # Entry switch also charges the buffer input; then the
-                # buffer drives the wire.
-                t += _ELMORE * (r_up + fabric.switch_r) * fabric.wire_buffer.input_capacitance
-                t += fabric.buffer_internal_delay(fabric.wire_buffer)
-                r_drv = fabric.wire_buffer.output_resistance
-                t += _ELMORE * (r_drv * (c_here + c_tail) + r_wire * (0.5 * c_here + c_tail))
-                path_rres[node_id] = r_drv + r_wire
-            else:
-                r_total = r_up + fabric.switch_r
-                t += _ELMORE * (r_total * (c_here + c_tail) + r_wire * (0.5 * c_here + c_tail))
-                path_rres[node_id] = r_total + r_wire
-            path_cache[node_id] = t_parent + t
-            return path_cache[node_id]
-
-        if k == KIND_IPIN:
-            if parent_kind == KIND_HWIRE or parent_kind == KIND_VWIRE:
-                if fabric.wire_buffer is not None:
-                    r_up = path_rres.get(parent, fabric.wire_buffer.output_resistance)
-                else:
-                    r_up = path_rres.get(parent, r_driver)
-            else:
-                r_up = r_driver
-            t = _ELMORE * (r_up + fabric.switch_r) * (
-                0.5 * fabric.switch_c + fabric.sink_input_cap()
-            )
-            path_cache[node_id] = t_parent + t
-            return path_cache[node_id]
-
-        if k == KIND_SINK:
-            path_cache[node_id] = arrival(parent)
-            return path_cache[node_id]
-        raise AssertionError(f"unexpected node kind {k}")
-
-    path_rres: Dict[int, float] = {}
-    stages = 0
-    for sink in tree.sink_nodes:
-        delay_to_tile[(int(xs[sink]), int(ys[sink]))] = arrival(sink)
-    for node_id in tree.nodes:
-        k = kind[node_id]
-        if k == KIND_HWIRE or k == KIND_VWIRE:
-            stages += 1
-    return NetDelays(
-        delay_to_tile=delay_to_tile,
-        cap_wire=cap_wire,
-        cap_buffer=cap_buffer,
-        cap_switch=cap_switch,
-        num_stages=stages,
-    )
+    """Stage-walk delay/capacitance extraction for one routed tree
+    (the model is described at `_RoutedNets`)."""
+    return _RoutedNets({"": tree}, as_fabric(graph)).evaluate(fabric)[1][""]
 
 
 @dataclasses.dataclass
@@ -411,13 +440,15 @@ class TimingReport:
         }
 
 
-def analyze_timing(
-    placement: Placement,
-    routing: RoutingResult,
-    graph: FabricIR,
-    fabric: FabricElectrical,
-) -> TimingReport:
-    """Full-design STA.
+class TimingExtraction:
+    """The variant-independent structure of one routed design's STA.
+
+    Switches are replaced 1:1 at the same channel width, so one
+    placement and routing serves every `FabricElectrical` variant.
+    Extraction holds each routed net's tree as arrays (`_RoutedNets`)
+    and the block-level DAG: LUTs by topological level, and every
+    (driver, sink block) edge resolved to a routed (net, sink tile) or
+    to a local hop.  `evaluate` times it under one variant.
 
     Edge delay from driver block u to sink block v:
 
@@ -427,112 +458,139 @@ def analyze_timing(
 
     Critical path = max arrival over FF D inputs and POs (+ setup).
     """
-    with get_tracer().span(
-        "timing.sta", circuit=placement.clustered.netlist.name
-    ) as tspan:
-        report = _analyze_timing_impl(placement, routing, graph, fabric)
-        tspan.set_many(
-            critical_path_s=report.critical_path,
-            critical_block=report.critical_block,
-            nets=len(report.net_delays),
-            endpoints=len(report.endpoint_predecessor),
-        )
-        registry = get_registry()
-        registry.counter("timing.sta_runs").inc()
-        registry.gauge("timing.critical_path_s").set(report.critical_path)
-        if report.critical_path > 0:
-            slack_hist = registry.histogram("timing.slack_s")
-            slacks = report.slacks()
-            for slack in slacks.values():
-                slack_hist.observe(slack)
-            tspan.set(
-                "near_critical_endpoints",
-                sum(1 for s in slacks.values()
-                    if s <= 0.05 * report.critical_path),
+
+    def __init__(self, placement: Placement, routing: RoutingResult, graph: FabricIR) -> None:
+        self.nets = _RoutedNets(routing.trees, as_fabric(graph))
+        clustered = placement.clustered
+        netlist = clustered.netlist
+        self.circuit = netlist.name
+
+        def tile_of_block(block_name: str) -> Tuple[int, int]:
+            block = netlist.blocks[block_name]
+            if block.type in (BlockType.INPUT, BlockType.OUTPUT):
+                return placement.location_of[block_name]
+            return placement.location_of[f"c{clustered.cluster_of[block_name]}"]
+
+        edge_sink: List[int] = []
+        edge_out: List[bool] = []
+
+        def edge(driver: str, sink_block: str) -> int:
+            """Index of the edge's delay; its routed sink node, or -1
+            for a local hop (same tile, or no routed path to it)."""
+            from_input = netlist.blocks[driver].type is BlockType.INPUT
+            sink_tile = tile_of_block(sink_block)
+            sink = self.nets.sink_of.get(driver, {}).get(sink_tile, -1)
+            if tile_of_block(driver) == sink_tile and not from_input:
+                sink = -1
+            edge_sink.append(sink)
+            edge_out.append(not from_input)
+            return len(edge_sink) - 1
+
+        order = netlist.topological_luts()
+        assert order is not None, "validated netlists are acyclic"
+        self.ffs = slice(len(netlist.inputs), len(netlist.inputs) + len(netlist.ffs))
+        self.names = [b.name for b in netlist.inputs + netlist.ffs] + order
+        index = {name: i for i, name in enumerate(self.names)}
+        level = [0] * len(self.names)
+        by_level: Dict[int, List[int]] = {}
+        fanin: Dict[int, Tuple[List[int], List[int]]] = {}
+        for i, name in enumerate(order, len(self.names) - len(order)):
+            inputs = netlist.blocks[name].inputs
+            fanin[i] = ([index[src] for src in inputs], [edge(src, name) for src in inputs])
+            level[i] = 1 + max(level[index[src]] for src in inputs)
+            by_level.setdefault(level[i], []).append(i)
+        # One padded (LUTs x fan-in) matrix per level; the padding edge
+        # (index -1) has delay -inf and never wins.
+        self.levels = []
+        for _, luts in sorted(by_level.items()):
+            k = max(len(fanin[i][0]) for i in luts)
+            src = np.zeros((len(luts), k), dtype=np.int64)
+            edges = np.full((len(luts), k), -1, dtype=np.int64)
+            for row, i in enumerate(luts):
+                src[row, :len(fanin[i][0])], edges[row, :len(fanin[i][1])] = fanin[i]
+            self.levels.append((np.array(luts, dtype=np.int64), src, edges))
+
+        ends = [(ff.name, f"{ff.name}__d", ff.inputs[0], True) for ff in netlist.ffs]
+        ends += [(po.name, po.name, po.inputs[0], False) for po in netlist.outputs]
+        self.endpoints = [(name, key, src) for name, key, src, _ in ends]
+        self.end_src = np.array([index[src] for _, _, src, _ in ends], dtype=np.int64)
+        self.end_edge = np.array([edge(src, name) for name, _, src, _ in ends], dtype=np.int64)
+        self.end_setup = np.array([setup for *_, setup in ends], dtype=bool)
+        self.edge_sink = np.array(edge_sink, dtype=np.int64)
+        self.edge_out = np.array(edge_out, dtype=bool)
+
+    def evaluate(self, fabric: FabricElectrical) -> TimingReport:
+        """Full-design STA of the extracted design under ``fabric``."""
+        with get_tracer().span("timing.sta", circuit=self.circuit) as tspan:
+            report = self._evaluate(fabric)
+            tspan.set_many(
+                critical_path_s=report.critical_path,
+                critical_block=report.critical_block,
+                nets=len(report.net_delays),
+                endpoints=len(report.endpoint_predecessor),
             )
-        return report
+            registry = get_registry()
+            registry.counter("timing.sta_runs").inc()
+            registry.gauge("timing.critical_path_s").set(report.critical_path)
+            if report.critical_path > 0:
+                slack_hist = registry.histogram("timing.slack_s")
+                slacks = report.slacks()
+                for slack in slacks.values():
+                    slack_hist.observe(slack)
+                tspan.set(
+                    "near_critical_endpoints",
+                    sum(1 for s in slacks.values()
+                        if s <= 0.05 * report.critical_path),
+                )
+            return report
+
+    def _evaluate(self, fabric: FabricElectrical) -> TimingReport:
+        node_arrival, net_delays = self.nets.evaluate(fabric)
+        routed = np.append(node_arrival, 0.0)[self.edge_sink] + fabric.t_local_in
+        routed = np.where(self.edge_out, routed + fabric.t_local_out, routed)
+        delay = np.append(np.where(self.edge_sink >= 0, routed, fabric.t_local_feedback), -np.inf)
+
+        # Longest-path propagation, one topological level at a time;
+        # argmax keeps the first input reaching the maximum.
+        arrival = np.zeros(len(self.names))
+        arrival[self.ffs] = fabric.t_clk_q
+        worst = np.full(len(self.names), -1)
+        for luts, src, edges in self.levels:
+            candidate = arrival[src] + delay[edges]
+            pick = candidate.argmax(axis=1)
+            rows = np.arange(len(luts))
+            arrival[luts] = candidate[rows, pick] + fabric.t_lut
+            worst[luts] = src[rows, pick]
+
+        names = self.names
+        ends = arrival[self.end_src] + delay[self.end_edge]
+        ends = np.where(self.end_setup, ends + fabric.t_su, ends)
+        arrival_of = dict(zip(names, arrival.tolist()))
+        critical = 0.0
+        critical_block: Optional[str] = None
+        for (name, key, _), t in zip(self.endpoints, ends.tolist()):
+            arrival_of.setdefault(key, t)
+            if t > critical:
+                critical, critical_block = t, name
+        return TimingReport(
+            critical_path=critical,
+            arrival=arrival_of,
+            net_delays=net_delays,
+            critical_block=critical_block,
+            worst_predecessor={
+                name: names[w] if w >= 0 else None
+                for name, w in zip(names, worst.tolist())
+            },
+            endpoint_predecessor={name: src for name, _, src in self.endpoints},
+        )
 
 
-def _analyze_timing_impl(
+def analyze_timing(
     placement: Placement,
     routing: RoutingResult,
     graph: FabricIR,
     fabric: FabricElectrical,
 ) -> TimingReport:
-    graph = as_fabric(graph)
-    clustered = placement.clustered
-    netlist = clustered.netlist
-
-    net_delays: Dict[str, NetDelays] = {}
-    for name, tree in routing.trees.items():
-        net_delays[name] = analyze_net(tree, graph, fabric)
-
-    def tile_of_block(block_name: str) -> Tuple[int, int]:
-        block = netlist.blocks[block_name]
-        if block.type in (BlockType.INPUT, BlockType.OUTPUT):
-            return placement.location_of[block_name]
-        return placement.location_of[f"c{clustered.cluster_of[block_name]}"]
-
-    def edge_delay(driver: str, sink_block: str) -> float:
-        driver_block = netlist.blocks[driver]
-        sink_tile = tile_of_block(sink_block)
-        driver_tile = tile_of_block(driver)
-        if driver_tile == sink_tile and driver_block.type not in (BlockType.INPUT,):
-            return fabric.t_local_feedback
-        nd = net_delays.get(driver)
-        if nd is None or sink_tile not in nd.delay_to_tile:
-            # Same-tile PI, or an unroutable leftover: local hop.
-            return fabric.t_local_feedback
-        base = nd.delay_to_tile[sink_tile] + fabric.t_local_in
-        if driver_block.type is not BlockType.INPUT:
-            base += fabric.t_local_out
-        return base
-
-    # Longest-path DAG propagation over combinational edges.
-    order = netlist.topological_luts()
-    assert order is not None, "validated netlists are acyclic"
-    arrival: Dict[str, float] = {}
-    predecessor: Dict[str, Optional[str]] = {}
-    for pi in netlist.inputs:
-        arrival[pi.name] = 0.0
-        predecessor[pi.name] = None
-    for ff in netlist.ffs:
-        arrival[ff.name] = fabric.t_clk_q
-        predecessor[ff.name] = None
-
-    for lut_name in order:
-        block = netlist.blocks[lut_name]
-        t = 0.0
-        worst: Optional[str] = None
-        for src in block.inputs:
-            candidate = arrival.get(src, 0.0) + edge_delay(src, lut_name)
-            if candidate > t or worst is None:
-                t, worst = candidate, src
-        arrival[lut_name] = t + fabric.t_lut
-        predecessor[lut_name] = worst
-
-    critical = 0.0
-    critical_block: Optional[str] = None
-    endpoint_pred: Dict[str, Optional[str]] = {}
-    for ff in netlist.ffs:
-        src = ff.inputs[0]
-        t = arrival.get(src, 0.0) + edge_delay(src, ff.name) + fabric.t_su
-        arrival.setdefault(f"{ff.name}__d", t)
-        endpoint_pred[ff.name] = src
-        if t > critical:
-            critical, critical_block = t, ff.name
-    for po in netlist.outputs:
-        src = po.inputs[0]
-        t = arrival.get(src, 0.0) + edge_delay(src, po.name)
-        arrival.setdefault(po.name, t)
-        endpoint_pred[po.name] = src
-        if t > critical:
-            critical, critical_block = t, po.name
-    return TimingReport(
-        critical_path=critical,
-        arrival=arrival,
-        net_delays=net_delays,
-        critical_block=critical_block,
-        worst_predecessor=predecessor,
-        endpoint_predecessor=endpoint_pred,
-    )
+    """Full-design STA: `TimingExtraction` of the routed design, timed
+    under ``fabric``."""
+    return TimingExtraction(placement, routing, graph).evaluate(fabric)

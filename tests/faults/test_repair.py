@@ -1,5 +1,6 @@
 """Tests for repro.faults.repair (incremental self-repair ladder)."""
 
+import numpy as np
 import pytest
 
 from repro.faults import (
@@ -185,8 +186,21 @@ class TestLadderDescent:
         assert result.stage == "widened" and result.success
         assert result.channel_width == width + 2
         assert result.defects.clean
+        assert result.sites is None
         assert [a.stage for a in result.attempts] \
             == ["incremental", "full", "widened"]
+
+    def test_widened_rung_hands_back_its_sites(self, placement, routed):
+        """A `FaultCampaign` is sampled on the wider fabric over one site
+        enumeration, which the result carries for the caller to reuse."""
+        routing, fabric = routed
+        campaign = FaultCampaign(seed=3, stuck_open_rate=0.001)
+        result = repair_routing(
+            placement, routing, self._kill_all(fabric), graph=fabric,
+            campaign=campaign, max_widen=1)
+        assert result.stage == "widened" and result.success
+        np.testing.assert_array_equal(result.sites, switch_sites(result.graph))
+        assert result.defects == campaign.for_fabric(result.graph)
 
     def test_failure_counts_metric(self, placement, routed):
         routing, fabric = routed
