@@ -1,4 +1,4 @@
-"""FabricIR micro-bench — legacy object graph vs the flat IR.
+"""FabricIR micro-benches — legacy object graph vs the flat IR.
 
 The legacy arm builds a fresh object graph for every channel-width
 probe and repeat route (the reference `RRGraph` the test suite keeps
@@ -9,20 +9,36 @@ the per-probe bill.  This bench times both arms on a tseng-class
 circuit at the evaluation width and checks the QoR is bit-identical —
 the speedup must come from representation, not from routing
 differently.
+
+A second bench times the build itself: `FabricIR.build` (whole-array
+construction) against the reference `RRGraph` build plus `to_fabric`
+on the headline's largest grid at W = 64, after checking that both
+produce the same arrays.  It writes ``BENCH_fabric_build.json`` for
+the bench history.
 """
 
 import os
+import statistics
 import sys
 import time
 
+import numpy as np
 import pytest
 
-from repro.fabric import fabric_cache, get_fabric
+from repro.fabric import FabricIR, fabric_cache, get_fabric
+from repro.obs import run_manifest, write_json
+from repro.obs.analyze import append_history, summarize_bench
 from repro.netlist import MCNC20_PARAMS
 from repro.vpr import find_min_channel_width, route_design
 from repro.vpr.route import PathFinderRouter, build_route_nets
 
-from conftest import BENCH_ARCH, BENCH_SCALE
+from conftest import (
+    BENCH_ARCH,
+    BENCH_HISTORY,
+    BENCH_SCALE,
+    BENCH_TELEMETRY,
+    BENCH_TELEMETRY_DIR,
+)
 
 # The reference graph lives with the tests; a bare `pytest benchmarks/`
 # does not put the repository root on sys.path.
@@ -36,6 +52,17 @@ PROBES = 5
 #: Conservative gate below the observed ~3x so machine noise cannot
 #: flake CI; the printed table reports the real figure (target >= 2x).
 MIN_SPEEDUP = 1.5
+
+#: The largest grid the perfbench headline workload routes at W = 64.
+BUILD_GRID = (9, 9)
+#: Timed repeats per build arm (the median is reported).
+BUILD_REPEATS = {"reference": 3, "FabricIR": 15}
+#: Loose gate on the build speedup (observed ~20x).
+MIN_BUILD_SPEEDUP = 5.0
+
+IR_ARRAYS = ("kind", "xs", "ys", "spans", "tracks", "directions",
+             "edge_offsets", "edge_targets", "edge_switch",
+             "source_table", "sink_table")
 
 
 def _tseng_placement(flow_cache):
@@ -129,3 +156,61 @@ def test_wmin_search_reuses_cached_fabric(benchmark, flow_cache):
     assert routing.success
     assert hits >= 1, "final route at Wmin must reuse a probe's FabricIR"
     assert graph is search_graph, "same width -> same cached IR instance"
+
+
+@pytest.mark.benchmark(group="fabric-ir")
+def test_fabric_build_speedup(benchmark):
+    nx, ny = BUILD_GRID
+    arms = {
+        "reference": lambda: to_fabric(RRGraph(BENCH_ARCH, nx, ny)),
+        "FabricIR": lambda: FabricIR.build(BENCH_ARCH, nx, ny),
+    }
+
+    def run():
+        times, built = {}, {}
+        for name, build in arms.items():
+            samples = []
+            for _ in range(BUILD_REPEATS[name]):
+                t0 = time.perf_counter()
+                built[name] = build()
+                samples.append(time.perf_counter() - t0)
+            times[name] = statistics.median(samples)
+        return times, built
+
+    times, built = benchmark.pedantic(run, rounds=1, iterations=1)
+    speedup = times["reference"] / times["FabricIR"]
+
+    print(f"\n=== FabricIR build bench ({nx}x{ny}, "
+          f"W = {BENCH_ARCH.channel_width}, "
+          f"{built['FabricIR'].num_nodes} RR nodes) ===")
+    print(f"{'arm':>18s} {'ms/build':>10s}")
+    for name in arms:
+        print(f"{name:>18s} {times[name] * 1e3:10.1f}")
+    print(f"speedup: {speedup:.1f}x (gate >= {MIN_BUILD_SPEEDUP:g}x)")
+
+    # The same fabric before any timing claim.
+    for name in IR_ARRAYS:
+        ref, ir = getattr(built["reference"], name), getattr(built["FabricIR"], name)
+        assert ref.dtype == ir.dtype and np.array_equal(ref, ir), name
+
+    if BENCH_TELEMETRY:
+        doc = {
+            "circuit": "fabric-build",
+            "manifest": run_manifest(
+                arch=BENCH_ARCH,
+                extra={"grid": [nx, ny],
+                       "rr_nodes": built["FabricIR"].num_nodes}),
+            "telemetry": {"flows": [], "stages": {
+                "t_reference": times["reference"],
+                "t_fabric_ir": times["FabricIR"],
+                "speedup_build": speedup,
+            }},
+        }
+        path = os.path.join(BENCH_TELEMETRY_DIR, "BENCH_fabric_build.json")
+        write_json(path, doc)
+        if BENCH_HISTORY:
+            append_history(BENCH_HISTORY, [summarize_bench(doc, source=path)])
+
+    assert speedup >= MIN_BUILD_SPEEDUP, (
+        f"FabricIR build speedup {speedup:.1f}x below {MIN_BUILD_SPEEDUP}x gate"
+    )

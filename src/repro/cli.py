@@ -257,6 +257,7 @@ def _cmd_flow(args: argparse.Namespace) -> int:
         evaluate_design,
         naive_nem_variant,
         optimized_nem_variant,
+        shared_evaluation,
     )
     from .netlist import load_circuit
     from .obs import get_tracer
@@ -300,10 +301,12 @@ def _cmd_flow(args: argparse.Namespace) -> int:
             (f"optimised (downsize {args.downsize:g})",
              optimized_nem_variant(arch, args.downsize)),
         ]
-        base = evaluate_design(flow, baseline_variant(arch))
+        shared = shared_evaluation(flow)
+        base = evaluate_design(flow, baseline_variant(arch), **shared)
         comparisons = []
         for label, variant in variants:
-            point = evaluate_design(flow, variant, frequency=base.frequency)
+            point = evaluate_design(flow, variant, frequency=base.frequency,
+                                    **shared)
             comparisons.append((label, Comparison.of(base, point)))
         if args.json:
             print(json.dumps({

@@ -18,7 +18,7 @@ from .variants import (
     naive_nem_variant,
     optimized_nem_variant,
 )
-from .evaluate import Comparison, DesignPoint, evaluate_design
+from .evaluate import Comparison, DesignPoint, evaluate_design, shared_evaluation
 from .tradeoff import (
     DEFAULT_DOWNSIZE_SWEEP,
     TradeoffCurve,
@@ -75,5 +75,6 @@ __all__ = [
     "headline_summary",
     "naive_nem_variant",
     "optimized_nem_variant",
+    "shared_evaluation",
     "sweep_circuit",
 ]

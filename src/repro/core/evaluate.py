@@ -62,6 +62,16 @@ class DesignPoint:
         return self.total_dynamic + self.total_leakage
 
 
+def shared_evaluation(flow: FlowResult) -> Dict[str, object]:
+    """`evaluate_design` keywords that let several variants of one
+    routed ``flow`` share one timing extraction and one activity
+    estimate (the results are those of separate evaluations)."""
+    return dict(
+        activities=estimate_activities(flow.netlist),
+        _timing=TimingExtraction(flow.placement, flow.routing, flow.graph),
+    )
+
+
 def evaluate_design(
     flow: FlowResult,
     variant: FpgaVariant,
@@ -81,8 +91,8 @@ def evaluate_design(
             own maximum (1/critical path).  Pass the baseline's f_max
             for the paper's iso-performance comparisons.
         _timing: ``TimingExtraction`` of ``flow``, when the caller
-            evaluates many variants of one routing (`sweep_circuit`);
-            None extracts it here.
+            evaluates several variants of one routing (see
+            `shared_evaluation`); None extracts it here.
     """
     tracer = get_tracer()
     with tracer.span(

@@ -29,7 +29,7 @@ from ..vpr.flow import FlowResult, find_min_channel_width, low_stress_width
 from ..vpr.pack import pack
 from ..vpr.place import place
 from ..vpr.route import route_design
-from .evaluate import evaluate_design
+from .evaluate import evaluate_design, shared_evaluation
 from .variants import baseline_variant, optimized_nem_variant
 
 
@@ -78,10 +78,11 @@ def _evaluate_point(
         netlist=netlist, clustered=clustered, placement=placement,
         routing=routing, graph=graph, channel_width=final.channel_width,
     )
-    base = evaluate_design(flow, baseline_variant(final, tech))
+    shared = shared_evaluation(flow)
+    base = evaluate_design(flow, baseline_variant(final, tech), **shared)
     nem = evaluate_design(
-        flow, optimized_nem_variant(final, downsize, tech), frequency=base.frequency
-    )
+        flow, optimized_nem_variant(final, downsize, tech), frequency=base.frequency,
+        **shared)
     inventory = build_inventory(final)
     return ArchPoint(
         params=final,

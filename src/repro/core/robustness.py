@@ -17,7 +17,7 @@ from ..arch.params import ArchParams
 from ..circuits.ptm import PTM_22NM, Technology
 from ..netlist.core import Netlist
 from ..vpr.flow import run_flow
-from .evaluate import Comparison, evaluate_design
+from .evaluate import Comparison, evaluate_design, shared_evaluation
 from .variants import baseline_variant, optimized_nem_variant
 
 
@@ -95,10 +95,11 @@ def seed_sweep(
         if not flow.success:
             failed.append(seed)
             continue
-        base = evaluate_design(flow, baseline_variant(params, tech))
+        shared = shared_evaluation(flow)
+        base = evaluate_design(flow, baseline_variant(params, tech), **shared)
         nem = evaluate_design(
-            flow, optimized_nem_variant(params, downsize, tech), frequency=base.frequency
-        )
+            flow, optimized_nem_variant(params, downsize, tech), frequency=base.frequency,
+            **shared)
         comparisons.append(Comparison.of(base, nem))
     return SeedStudy(
         circuit=netlist.name,

@@ -13,15 +13,14 @@ which produces the paper's headline 10x/2x/2x-at-iso-speed claim.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Dict, List, Optional, Sequence
 
 from ..arch.params import ArchParams
 from ..circuits.ptm import PTM_22NM, Technology
-from ..power.activity import estimate_activities
 from ..vpr.flow import FlowResult
-from ..vpr.timing import TimingExtraction
-from .evaluate import Comparison, DesignPoint, evaluate_design
+from .evaluate import Comparison, DesignPoint, evaluate_design, shared_evaluation
 from .variants import (
     FpgaVariant,
     baseline_variant,
@@ -70,6 +69,17 @@ class TradeoffCurve:
         return max(self.points, key=lambda p: p.speedup)
 
 
+@functools.lru_cache(maxsize=64)
+def _variant(build, params: ArchParams, tech: Technology, *args) -> FpgaVariant:
+    """``build(params, *args, tech=tech)``, elaborated once per key.
+
+    A variant depends only on these inputs and nothing changes it after
+    `FpgaVariant.solve`, so every circuit of a sweep shares the same
+    instances instead of re-sizing 11 buffer chains per circuit.
+    """
+    return build(params, *args, tech=tech)
+
+
 def sweep_circuit(
     flow: FlowResult,
     params: ArchParams,
@@ -86,15 +96,13 @@ def sweep_circuit(
     """
     if not downsizes:
         raise ValueError("need at least one downsize factor")
-    shared = dict(
-        activities=estimate_activities(flow.netlist),
-        _timing=TimingExtraction(flow.placement, flow.routing, flow.graph),
-    )
-    baseline = evaluate_design(flow, baseline_variant(params, tech), **shared)
+    shared = shared_evaluation(flow)
+    baseline = evaluate_design(
+        flow, _variant(baseline_variant, params, tech), **shared)
     f_ref = 1.0 / baseline.critical_path
     points: List[TradeoffPoint] = []
     for downsize in downsizes:
-        variant = optimized_nem_variant(params, downsize, tech)
+        variant = _variant(optimized_nem_variant, params, tech, downsize)
         point = evaluate_design(flow, variant, frequency=f_ref, **shared)
         cmp = Comparison.of(baseline, point)
         points.append(
@@ -109,7 +117,8 @@ def sweep_circuit(
     naive_cmp: Optional[Comparison] = None
     if include_naive:
         naive_point = evaluate_design(
-            flow, naive_nem_variant(params, tech), frequency=f_ref, **shared)
+            flow, _variant(naive_nem_variant, params, tech), frequency=f_ref,
+            **shared)
         naive_cmp = Comparison.of(baseline, naive_point)
     return TradeoffCurve(
         circuit=flow.netlist.name, points=points, baseline=baseline, naive=naive_cmp

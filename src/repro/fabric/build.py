@@ -4,17 +4,28 @@ A port of the object-graph builder kept as the test suite's reference
 (`tests/fabric/reference_rrgraph.py`) that emits flat parallel arrays
 instead of node objects and per-node adjacency lists.  Node ids, node
 attributes, and per-source edge order are identical to the reference
-(`tests/fabric/test_equivalence.py` checks this exhaustively on small
-grids), so a router run over either takes exactly the same decisions.
+(`tests/fabric/test_equivalence.py` checks this on small and
+workload-sized grids), so a router run over either takes exactly the
+same decisions.
 
-The builder keeps transient dict indexes (`_wire_at`, `_entry_at`,
-`_entries_by_corner`) — they exist only during the build; the
-finished IR is pure arrays.
+Every step is whole-array arithmetic; nothing loops per node or edge:
+
+* wires come from per-track segment tables tiled over the channels,
+  and a dense ``(channel, track, position) -> wire id`` table answers
+  every "which wire is here" query;
+* pin edges are index arithmetic over ``(tile, pin, j)`` grids;
+* a unidirectional fabric groups its wires by entry corner with one
+  stable sort, so each corner's entries are in track order;
+* switch-box edges are one candidate array per wire (the collinear
+  next segment, then the Fs picks at each end).
+
+The edge sections are concatenated and `csr_from_edges` sorts them
+stably by source, so each source keeps its out-edges in emit order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -27,34 +38,29 @@ KIND_SOURCE, KIND_SINK, KIND_OPIN, KIND_IPIN, KIND_HWIRE, KIND_VWIRE = range(6)
 KIND_NAMES = ("source", "sink", "opin", "ipin", "hwire", "vwire")
 
 
-class RawFabric:
-    """Flat build output before CSR finalisation (see `_finalize`)."""
+def _track_segments(params: ArchParams, extent: int) -> Tuple[np.ndarray, ...]:
+    """One channel's segments, in (track, start) order.
 
-    __slots__ = (
-        "params", "nx", "ny",
-        "kind", "xs", "ys", "spans", "tracks", "directions",
-        "edge_src", "edge_dst", "source_lut", "sink_lut",
-    )
-
-    def __init__(self, params: ArchParams, nx: int, ny: int) -> None:
-        self.params = params
-        self.nx = nx
-        self.ny = ny
-        self.kind: List[int] = []
-        self.xs: List[int] = []
-        self.ys: List[int] = []
-        self.spans: List[int] = []
-        self.tracks: List[int] = []
-        self.directions: List[int] = []
-        self.edge_src: List[int] = []
-        self.edge_dst: List[int] = []
-        # Tile (x, y) -> SOURCE / SINK node id, flattened x * ny + y.
-        self.source_lut: List[int] = [-1] * (nx * ny)
-        self.sink_lut: List[int] = [-1] * (nx * ny)
+    Returns ``(track, start, span, local)``: per segment its track,
+    start position and span, and ``local[t, p]``, the index of the
+    segment that covers position ``p`` of track ``t``.  Track ``t``
+    starts its first full segment at its stagger offset (paired
+    tracks share one in a unidirectional fabric).
+    """
+    seg_len = params.segment_length
+    t = np.arange(params.channel_width)[:, None]
+    p = np.arange(extent)[None, :]
+    pitch = t // 2 if params.directionality == "unidir" else t
+    offset = pitch % seg_len
+    is_start = (p == 0) | ((p >= offset) & ((p - offset) % seg_len == 0))
+    local = np.cumsum(is_start).reshape(is_start.shape) - 1
+    track, start = np.nonzero(is_start)
+    span = np.bincount(local.ravel())
+    return track, start, span, local
 
 
-class _ArrayBuilder:
-    """The fabric build over flat lists."""
+class _Fabric:
+    """Wire tables and the index arithmetic over them (build only)."""
 
     def __init__(self, params: ArchParams, nx: int, ny: int) -> None:
         if nx < 1 or ny < 1:
@@ -62,253 +68,187 @@ class _ArrayBuilder:
         self.params = params
         self.nx = nx
         self.ny = ny
-        self.raw = RawFabric(params, nx, ny)
         self.unidir = params.directionality == "unidir"
-        # (is_vertical, channel index, track, position) -> wire node id
-        self._wire_at: Dict[Tuple[bool, int, int, int], int] = {}
-        # Unidirectional mode: (is_vertical, channel, corner, track) ->
-        # the wire ENTERING (driven) at that corner, plus a per-corner
-        # list of all entries (with L-tile staggering only ~W/L tracks
-        # enter at any one corner, so fixed-track lookups mostly miss).
-        self._entry_at: Dict[Tuple[bool, int, int, int], int] = {}
-        self._entries_by_corner: Dict[Tuple[bool, int, int], List[Tuple[int, int]]] = {}
-
-    # -- primitives --------------------------------------------------------
-
-    def _new_node(
-        self, kind: int, x: int, y: int,
-        span: int = 1, track: int = 0, direction: int = 0,
-    ) -> int:
-        raw = self.raw
-        node_id = len(raw.kind)
-        raw.kind.append(kind)
-        raw.xs.append(x)
-        raw.ys.append(y)
-        raw.spans.append(span)
-        raw.tracks.append(track)
-        raw.directions.append(direction)
-        return node_id
-
-    def _add_edge(self, src: int, dst: int) -> None:
-        self.raw.edge_src.append(src)
-        self.raw.edge_dst.append(dst)
-
-    # -- construction ------------------------------------------------------
-
-    def build(self) -> RawFabric:
-        self._build_wires()
-        self._build_pins()
-        self._build_switch_boxes()
-        return self.raw
-
-    def _segment_starts(self, track: int, extent: int) -> List[Tuple[int, int]]:
-        seg_len = self.params.segment_length
-        offset = (track // 2) % seg_len if self.unidir else track % seg_len
-        segments: List[Tuple[int, int]] = []
-        pos = 0
-        if offset > 0:
-            head = min(offset, extent)
-            segments.append((0, head))
-            pos = head
-        while pos < extent:
-            span = min(seg_len, extent - pos)
-            segments.append((pos, span))
-            pos += span
-        return segments
-
-    def _wire_direction(self, track: int) -> int:
-        if not self.unidir:
-            return 0
-        return 1 if track % 2 == 0 else -1
-
-    def _build_wires(self) -> None:
-        w = self.params.channel_width
-        for c in range(self.ny + 1):
-            for t in range(w):
-                direction = self._wire_direction(t)
-                for start, span in self._segment_starts(t, self.nx):
-                    node = self._new_node(
-                        KIND_HWIRE, x=start, y=c, span=span, track=t, direction=direction
-                    )
-                    for pos in range(start, start + span):
-                        self._wire_at[(False, c, t, pos)] = node
-                    if direction:
-                        entry = start if direction > 0 else start + span
-                        self._entry_at[(False, c, entry, t)] = node
-                        self._entries_by_corner.setdefault((False, c, entry), []).append((t, node))
-        for c in range(self.nx + 1):
-            for t in range(w):
-                direction = self._wire_direction(t)
-                for start, span in self._segment_starts(t, self.ny):
-                    node = self._new_node(
-                        KIND_VWIRE, x=c, y=start, span=span, track=t, direction=direction
-                    )
-                    for pos in range(start, start + span):
-                        self._wire_at[(True, c, t, pos)] = node
-                    if direction:
-                        entry = start if direction > 0 else start + span
-                        self._entry_at[(True, c, entry, t)] = node
-                        self._entries_by_corner.setdefault((True, c, entry), []).append((t, node))
-
-    def _adjacent_channels(self, x: int, y: int) -> List[Tuple[bool, int, int]]:
-        return [
-            (False, y, x),      # horizontal channel below
-            (False, y + 1, x),  # horizontal channel above
-            (True, x, y),       # vertical channel left
-            (True, x + 1, y),   # vertical channel right
-        ]
-
-    def _build_pins(self) -> None:
-        p = self.params
-        w = p.channel_width
-        raw = self.raw
-        for x in range(self.nx):
-            for y in range(self.ny):
-                source = self._new_node(KIND_SOURCE, x, y)
-                sink = self._new_node(KIND_SINK, x, y)
-                raw.source_lut[x * self.ny + y] = source
-                raw.sink_lut[x * self.ny + y] = sink
-                channels = self._adjacent_channels(x, y)
-                out_stride = max(1, w // p.fc_out_abs)
-                in_stride = max(1, w // p.fc_in_abs)
-                for pin in range(p.outputs_per_lb):
-                    opin = self._new_node(KIND_OPIN, x, y, track=pin)
-                    self._add_edge(source, opin)
-                    offset = (pin * w) // p.outputs_per_lb + (x + y) % out_stride
-                    for j in range(p.fc_out_abs):
-                        vertical, chan, pos = channels[(pin + 2 * (j % 2)) % 4]
-                        track = (offset + j * out_stride) % w
-                        if self.unidir:
-                            corner = pos + (j % 2)
-                            entries = self._entries_by_corner.get((vertical, chan, corner), [])
-                            if not entries:
-                                corner = pos + 1 - (j % 2)
-                                entries = self._entries_by_corner.get(
-                                    (vertical, chan, corner), []
-                                )
-                            if not entries:
-                                continue
-                            entry_stride = max(1, len(entries) // max(1, p.fc_out_abs // 2))
-                            _t, wire = entries[(pin + j * entry_stride) % len(entries)]
-                        else:
-                            wire = self._wire_at.get((vertical, chan, track, pos))
-                        if wire is not None:
-                            self._add_edge(opin, wire)
-                for pin in range(p.inputs_per_lb):
-                    ipin = self._new_node(KIND_IPIN, x, y, track=pin)
-                    self._add_edge(ipin, sink)
-                    offset = (pin * w) // p.inputs_per_lb + (x * 2 + y) % in_stride
-                    for j in range(p.fc_in_abs):
-                        vertical, chan, pos = channels[(pin + 2 * (j % 2)) % 4]
-                        track = (offset + j * in_stride) % w
-                        wire = self._wire_at.get((vertical, chan, track, pos))
-                        if wire is not None:
-                            self._add_edge(wire, ipin)
-
-    def _wires_crossing(self, vertical: bool, chan: int, pos: int) -> Dict[int, int]:
-        w = self.params.channel_width
-        found: Dict[int, int] = {}
-        for t in range(w):
-            node = self._wire_at.get((vertical, chan, t, pos))
-            if node is not None:
-                found[t] = node
-        return found
-
-    def _build_switch_boxes(self) -> None:
+        # Horizontal channels 0..ny run along x; vertical 0..nx along y.
+        cols = {name: [] for name in ("vertical", "chan", "start", "span", "track")}
+        tables = []
+        base = 0
+        for vertical, channels, extent in ((False, ny + 1, nx), (True, nx + 1, ny)):
+            track, start, span, local = _track_segments(params, extent)
+            per_channel = len(start)
+            tables.append(base + np.arange(channels)[:, None, None] * per_channel
+                          + local[None])
+            cols["vertical"].append(np.full(channels * per_channel, vertical))
+            cols["chan"].append(np.repeat(np.arange(channels), per_channel))
+            for name, column in (("start", start), ("span", span), ("track", track)):
+                cols[name].append(np.tile(column, channels))
+            base += channels * per_channel
+        self.num_wires = base
+        self.h_size = tables[0].size
+        #: Flat (vertical, channel, track, position) -> wire id.
+        self.wire_at = np.concatenate([table.ravel() for table in tables])
+        for name, parts in cols.items():
+            setattr(self, name, np.concatenate(parts))
+        self.direction = np.zeros(base, dtype=np.int64)
         if self.unidir:
-            self._build_switch_boxes_unidir()
+            self.direction = np.where(self.track % 2 == 0, 1, -1)
+            # Wires grouped by the corner they enter at, each group in
+            # track order.  With L-tile staggering only ~W/L tracks
+            # enter at any one corner.
+            entry = np.where(self.direction > 0, self.start, self.start + self.span)
+            codes = self.corner_code(self.vertical, self.chan, entry)
+            self.by_corner = np.argsort(codes, kind="stable")
+            self.corner_count = np.bincount(codes, minlength=2 * (nx + 1) * (ny + 1))
+            self.corner_first = np.cumsum(self.corner_count) - self.corner_count
+
+    def corner_code(self, vertical, chan, corner):
+        """Dense index of (vertical, channel, corner)."""
+        nx, ny = self.nx, self.ny
+        return np.where(vertical, (nx + 1) * (ny + 1) + chan * (ny + 1) + corner,
+                        chan * (nx + 1) + corner)
+
+    def lookup(self, vertical, chan, track, pos):
+        """Wire id at (vertical, channel, track, position), elementwise."""
+        w = self.params.channel_width
+        return self.wire_at[np.where(
+            vertical, self.h_size + (chan * w + track) * self.ny + pos,
+            (chan * w + track) * self.nx + pos)]
+
+    def corner_entry(self, code, index):
+        """The ``index``-th entry (mod the count) of each corner group,
+        or -1 where the group is empty."""
+        count = self.corner_count[code]
+        found = count > 0
+        slot = self.corner_first[code] + index % np.maximum(count, 1)
+        return np.where(found, self.by_corner[np.where(found, slot, 0)], -1)
+
+    def pin_taps(self, pins, fc: int, x_weight: int):
+        """The Fc channel taps of one pin class, as (tile, pin, j) grids.
+
+        ``pins`` is the (tile, pin) node-id table.  Returns the pin id,
+        the tapped wire's (vertical, channel, position, track), and the
+        pin and j indices.  Pin ``pin`` of tile (x, y) taps channel
+        side ``(pin + 2 * (j % 2)) % 4`` (below, above, left, right),
+        its tracks skewed by ``x_weight * x + y``.
+        """
+        w = self.params.channel_width
+        tiles, count = pins.shape
+        tile = np.arange(tiles)[:, None, None]
+        pin = np.arange(count)[None, :, None]
+        j = np.arange(fc)[None, None, :]
+        x, y = tile // self.ny, tile % self.ny
+        stride = max(1, w // fc)
+        offset = (pin * w) // count + (x_weight * x + y) % stride
+        side = (pin + 2 * (j % 2)) % 4
+        vertical = side >= 2
+        chan = np.where(vertical, x + (side == 3), y + (side == 1))
+        pos = np.where(vertical, y, x)
+        track = (offset + j * stride) % w
+        grids = (pins[:, :, None], vertical, chan, pos, track, pin, j)
+        return tuple(np.broadcast_to(g, (tiles, count, fc)) for g in grids)
+
+    def switch_edges(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Wire-to-wire edges in emit order."""
+        p = self.params
+        w, fs = p.channel_width, p.fs
+        vertical, chan, start, span, track = (
+            self.vertical, self.chan, self.start, self.span, self.track)
+        extent = np.where(vertical, self.ny, self.nx)
+        # The collinear neighbour past the wire's exit end.
+        after = np.where(self.direction < 0, start - 1, start + span)
+        has_next = (after >= 0) & (after < extent)
+        nxt = np.where(has_next, self.lookup(
+            vertical, chan, track, np.where(has_next, after, 0)), -1)
+        picks = np.arange(fs)[None, :]
+        if self.unidir:
+            exit_corner = np.where(self.direction > 0, start + span, start)
+            code = self.corner_code(~vertical, exit_corner, chan)[:, None]
+            stride = np.maximum(1, self.corner_count[code] // fs)
+            cands = [self.corner_entry(code, track[:, None] + 1 + picks * stride)]
         else:
-            self._build_switch_boxes_bidir()
-
-    def _build_switch_boxes_unidir(self) -> None:
-        p = self.params
-        raw = self.raw
-        for node_id in range(len(raw.kind)):
-            k = raw.kind[node_id]
-            if k != KIND_HWIRE and k != KIND_VWIRE:
-                continue
-            vertical = k == KIND_VWIRE
-            chan = raw.xs[node_id] if vertical else raw.ys[node_id]
-            start = raw.ys[node_id] if vertical else raw.xs[node_id]
-            span = raw.spans[node_id]
-            track = raw.tracks[node_id]
-            exit_corner = start + span if raw.directions[node_id] > 0 else start
-            nxt = self._entry_at.get((vertical, chan, exit_corner, track))
-            if nxt is not None and nxt != node_id:
-                self._add_edge(node_id, nxt)
-            cross_vertical = not vertical
-            cross_index = exit_corner
-            cross_corner = chan
-            if cross_vertical and not (0 <= cross_index <= self.nx):
-                continue
-            if not cross_vertical and not (0 <= cross_index <= self.ny):
-                continue
-            entries = self._entries_by_corner.get(
-                (cross_vertical, cross_index, cross_corner), []
-            )
-            if not entries:
-                continue
-            for i in range(p.fs):
-                index = (track + 1 + i * max(1, len(entries) // p.fs)) % len(entries)
-                _t, target = entries[index]
-                if target != node_id:
-                    self._add_edge(node_id, target)
-
-    def _build_switch_boxes_bidir(self) -> None:
-        p = self.params
-        w = p.channel_width
-        raw = self.raw
-        seen_pairs = set()
-
-        def connect(a: int, b: int) -> None:
-            if a == b:
-                return
-            key = (a, b) if a < b else (b, a)
-            if key in seen_pairs:
-                return
-            seen_pairs.add(key)
-            self._add_edge(a, b)
-            self._add_edge(b, a)
-
-        for node_id in range(len(raw.kind)):
-            k = raw.kind[node_id]
-            if k != KIND_HWIRE and k != KIND_VWIRE:
-                continue
-            vertical = k == KIND_VWIRE
-            chan = raw.xs[node_id] if vertical else raw.ys[node_id]
-            start = raw.ys[node_id] if vertical else raw.xs[node_id]
-            end = start + raw.spans[node_id] - 1
-            track = raw.tracks[node_id]
-            nxt = self._wire_at.get((vertical, chan, track, end + 1))
-            if nxt is not None:
-                connect(node_id, nxt)
-            for endpoint, cross_chan in ((start, start), (end, end + 1)):
-                if vertical:
-                    cross_vertical = False
-                    cross_index = cross_chan
-                    cross_pos = min(chan, self.nx - 1)
-                    if chan == self.nx:
-                        cross_pos = self.nx - 1
-                else:
-                    cross_vertical = True
-                    cross_index = cross_chan
-                    cross_pos = min(chan, self.ny - 1)
-                    if chan == self.ny:
-                        cross_pos = self.ny - 1
-                candidates = self._wires_crossing(cross_vertical, cross_index, cross_pos)
-                if not candidates:
-                    continue
-                for i in range(p.fs):
-                    target_track = (track + i * max(1, w // p.fs)) % w
-                    if target_track not in candidates:
-                        existing = sorted(candidates)
-                        target_track = existing[target_track % len(existing)]
-                    connect(node_id, candidates[target_track])
+            # Fs picks on the crossing channel at each end of the wire.
+            cross_pos = np.minimum(chan, np.where(vertical, self.nx, self.ny) - 1)
+            target = (track[:, None] + picks * max(1, w // fs)) % w
+            cands = [self.lookup(~vertical[:, None], cross[:, None], target,
+                                 cross_pos[:, None])
+                     for cross in (start, start + span)]
+        cand = np.concatenate([nxt[:, None]] + cands, axis=1)
+        src = np.repeat(np.arange(self.num_wires), cand.shape[1])
+        dst = cand.ravel()
+        keep = (dst >= 0) & (dst != src)
+        src, dst = src[keep], dst[keep]
+        if self.unidir:
+            return src, dst
+        # Each unordered pair is joined once, both ways, where it first
+        # comes up.
+        pair = np.minimum(src, dst) * self.num_wires + np.maximum(src, dst)
+        first = np.sort(np.unique(pair, return_index=True)[1])
+        src, dst = src[first], dst[first]
+        return (np.stack([src, dst], axis=1).ravel(),
+                np.stack([dst, src], axis=1).ravel())
 
 
-def build_raw(params: ArchParams, nx: int, ny: int) -> RawFabric:
-    """Run the array-native build and return the flat lists."""
-    return _ArrayBuilder(params, nx, ny).build()
+def build_columns(params: ArchParams, nx: int, ny: int) -> Dict[str, np.ndarray]:
+    """The `FabricIR` node columns, CSR adjacency and tile tables."""
+    fab = _Fabric(params, nx, ny)
+    n_out, n_in = params.outputs_per_lb, params.inputs_per_lb
+    n_wire, tiles = fab.num_wires, nx * ny
+    block = 2 + n_out + n_in
+    num_nodes = n_wire + tiles * block
+
+    # Per tile (x-major): SOURCE, SINK, the OPINs, then the IPINs.
+    tile_base = n_wire + np.arange(tiles) * block
+    pin_kind = np.repeat([KIND_SOURCE, KIND_SINK, KIND_OPIN, KIND_IPIN],
+                         [1, 1, n_out, n_in])
+    pin_track = np.concatenate([[0, 0], np.arange(n_out), np.arange(n_in)])
+    tile = np.repeat(np.arange(tiles), block)
+
+    def column(wires, pins, dtype):
+        return np.concatenate([wires, pins]).astype(dtype)
+
+    columns = {
+        "kind": column(np.where(fab.vertical, KIND_VWIRE, KIND_HWIRE),
+                       np.tile(pin_kind, tiles), np.int8),
+        "xs": column(np.where(fab.vertical, fab.chan, fab.start), tile // ny, np.int32),
+        "ys": column(np.where(fab.vertical, fab.start, fab.chan), tile % ny, np.int32),
+        "spans": column(fab.span, np.ones_like(tile), np.int32),
+        "tracks": column(fab.track, np.tile(pin_track, tiles), np.int32),
+        "directions": column(fab.direction, np.zeros_like(tile), np.int8),
+        "source_table": tile_base.astype(np.int32),
+        "sink_table": (tile_base + 1).astype(np.int32),
+    }
+
+    opins = tile_base[:, None] + 2 + np.arange(n_out)
+    ipins = tile_base[:, None] + 2 + n_out + np.arange(n_in)
+
+    out_src, vertical, chan, pos, track, pin, j = fab.pin_taps(
+        opins, params.fc_out_abs, x_weight=1)
+    if fab.unidir:
+        # An OPIN drives a wire entering at the near (even j) or far
+        # corner of its channel segment; the other corner if none does.
+        near = fab.corner_code(vertical, chan, pos + j % 2)
+        far = fab.corner_code(vertical, chan, pos + 1 - j % 2)
+        code = np.where(fab.corner_count[near] > 0, near, far)
+        stride = np.maximum(1, fab.corner_count[code] // max(1, params.fc_out_abs // 2))
+        out_dst = fab.corner_entry(code, pin + j * stride)
+    else:
+        out_dst = fab.lookup(vertical, chan, track, pos)
+    driven = out_dst >= 0
+
+    in_dst, vertical, chan, pos, track, _, _ = fab.pin_taps(
+        ipins, params.fc_in_abs, x_weight=2)
+    in_src = fab.lookup(vertical, chan, track, pos)
+
+    sw_src, sw_dst = fab.switch_edges()
+    # Section order keeps each source's emit order: a wire's IPIN taps
+    # precede its switch-box edges.
+    edge_src = np.concatenate([np.repeat(tile_base, n_out), out_src[driven],
+                               ipins.ravel(), in_src.ravel(), sw_src])
+    edge_dst = np.concatenate([opins.ravel(), out_dst[driven],
+                               np.repeat(tile_base + 1, n_in), in_dst.ravel(), sw_dst])
+    columns["edge_offsets"], columns["edge_targets"] = csr_from_edges(
+        num_nodes, edge_src, edge_dst)
+    return columns
 
 
 def csr_from_edges(

@@ -2,8 +2,10 @@
 
 The channel-width binary search and the evaluation stages route the
 same placement repeatedly — at probe widths during the search, then
-again at the working width for every variant/STA pass.  The cache
-makes a repeat at any previously seen width free.
+again at the working width for every variant/STA pass.  A build is
+whole-array work, about 10 ms for a W = 64, 9x9 fabric (DESIGN.md
+Sec. 5c); the cache spares even that on a repeat, and hands every
+consumer of one width the same IR instance.
 
 `ArchParams` is a frozen dataclass, so `(params, nx, ny)` is directly
 hashable.  Cached IRs are immutable and shared: routers keep their

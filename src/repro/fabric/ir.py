@@ -44,8 +44,7 @@ from .build import (
     KIND_SINK,
     KIND_SOURCE,
     KIND_VWIRE,
-    build_raw,
-    csr_from_edges,
+    build_columns,
 )
 
 
@@ -190,24 +189,7 @@ class FabricIR:
             "fabric.build", nx=nx, ny=ny, channel_width=params.channel_width
         ) as span:
             t0 = time.perf_counter()
-            raw = build_raw(params, nx, ny)
-            n = len(raw.kind)
-            edge_src = np.asarray(raw.edge_src, dtype=np.int64)
-            edge_dst = np.asarray(raw.edge_dst, dtype=np.int64)
-            offsets, targets = csr_from_edges(n, edge_src, edge_dst)
-            ir = cls(
-                params, nx, ny,
-                kind=np.asarray(raw.kind, dtype=np.int8),
-                xs=np.asarray(raw.xs, dtype=np.int32),
-                ys=np.asarray(raw.ys, dtype=np.int32),
-                spans=np.asarray(raw.spans, dtype=np.int32),
-                tracks=np.asarray(raw.tracks, dtype=np.int32),
-                directions=np.asarray(raw.directions, dtype=np.int8),
-                edge_offsets=offsets,
-                edge_targets=targets,
-                source_table=np.asarray(raw.source_lut, dtype=np.int32),
-                sink_table=np.asarray(raw.sink_lut, dtype=np.int32),
-            )
+            ir = cls(params, nx, ny, **build_columns(params, nx, ny))
             ir.build_stats = {
                 "constructor": "build",
                 "build_wall_s": time.perf_counter() - t0,

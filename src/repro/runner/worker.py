@@ -154,7 +154,8 @@ def _inject_fault(spec: JobSpec, attempt: int) -> None:
 
 def _execute(spec: JobSpec, attempt: int) -> JobResult:
     from ..config.bitstream import extract_bitstream, program_fabric
-    from ..core import Comparison, baseline_variant, evaluate_design
+    from ..core import (
+        Comparison, baseline_variant, evaluate_design, shared_evaluation)
     from ..vpr.flow import run_flow, run_flow_min_width
 
     _inject_fault(spec, attempt)
@@ -263,11 +264,12 @@ def _execute(spec: JobSpec, attempt: int) -> JobResult:
         config_success=config.success,
     )
 
-    base = evaluate_design(flow, baseline_variant(params))
+    shared = shared_evaluation(flow)
+    base = evaluate_design(flow, baseline_variant(params), **shared)
     point = base
     if spec.variant != "baseline":
         point = evaluate_design(flow, _variant_for(spec, params),
-                                frequency=base.frequency)
+                                frequency=base.frequency, **shared)
         cmp = Comparison.of(base, point)
         qor.update({f"vs_baseline.{k}": v
                     for k, v in dataclasses.asdict(cmp).items()})

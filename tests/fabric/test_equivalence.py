@@ -8,6 +8,7 @@ same base costs and capacities.  These tests pin that contract over a
 grid of architectures so the build cannot drift silently.
 """
 
+import numpy as np
 import pytest
 
 from repro.arch.params import ArchParams
@@ -33,6 +34,13 @@ def _case_id(case):
 
 
 CASES = [(params, grid) for params in ARCHES for grid in GRIDS]
+# Workload-sized fabrics: the headline's default architecture at W=64,
+# a Wmin-search width, and a unidirectional fabric on a non-square grid.
+CASES += [
+    (ArchParams(channel_width=64), (8, 8)),
+    (ArchParams(channel_width=15), (5, 5)),
+    (ArchParams(channel_width=16, directionality="unidir"), (6, 5)),
+]
 
 
 @pytest.fixture(params=CASES, ids=_case_id, scope="module")
@@ -123,3 +131,33 @@ class TestConversionEquivalence:
     def test_as_fabric_passthrough(self, pair):
         _, ir = pair
         assert as_fabric(ir) is ir
+
+
+# Degenerate shapes the grid above does not reach: one-tile rows and
+# columns, segments longer than the grid, Fs above W, full Fc, W = 2.
+EDGE_SHAPES = [
+    (dict(channel_width=4, segment_length=2), (1, 1)),
+    (dict(channel_width=5, segment_length=3), (1, 4)),
+    (dict(channel_width=6, segment_length=2), (5, 1)),
+    (dict(channel_width=2, segment_length=1), (3, 2)),
+    (dict(channel_width=3, segment_length=8), (3, 3)),
+    (dict(channel_width=8, segment_length=4, fs=20), (3, 4)),
+    (dict(channel_width=8, segment_length=2, fs=1), (4, 3)),
+    (dict(channel_width=5, segment_length=2, fc_in=1.0, fc_out=1.0), (3, 3)),
+    (dict(channel_width=13, segment_length=3, n=1, k=2, lb_inputs=3), (4, 2)),
+]
+
+
+@pytest.mark.parametrize("directionality", ["bidir", "unidir"])
+@pytest.mark.parametrize("fields, grid", EDGE_SHAPES,
+                         ids=[f"{i}" for i in range(len(EDGE_SHAPES))])
+def test_edge_shapes_match_reference(fields, grid, directionality):
+    params = ArchParams(directionality=directionality, **fields)
+    converted = to_fabric(RRGraph(params, *grid))
+    ir = FabricIR.build(params, *grid)
+    for name in ("kind", "xs", "ys", "spans", "tracks", "directions",
+                 "edge_offsets", "edge_targets", "edge_switch",
+                 "source_table", "sink_table"):
+        expected, actual = getattr(converted, name), getattr(ir, name)
+        assert actual.dtype == expected.dtype, name
+        assert np.array_equal(actual, expected), name
