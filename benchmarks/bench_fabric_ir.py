@@ -13,8 +13,9 @@ differently.
 A second bench times the build itself: `FabricIR.build` (whole-array
 construction) against the reference `RRGraph` build plus `to_fabric`
 on the headline's largest grid at W = 64, after checking that both
-produce the same arrays.  It writes ``BENCH_fabric_build.json`` for
-the bench history.
+produce the same arrays.  Its times and speedup become the attrs of a
+``bench.fabric_build`` root span in the session's ``BENCH_run.jsonl``
+(warehouse keys ``span.bench.fabric_build.<attr>``).
 """
 
 import os
@@ -26,19 +27,11 @@ import numpy as np
 import pytest
 
 from repro.fabric import FabricIR, fabric_cache, get_fabric
-from repro.obs import run_manifest, write_json
-from repro.obs.analyze import append_history, summarize_bench
 from repro.netlist import MCNC20_PARAMS
 from repro.vpr import find_min_channel_width, route_design
 from repro.vpr.route import PathFinderRouter, build_route_nets
 
-from conftest import (
-    BENCH_ARCH,
-    BENCH_HISTORY,
-    BENCH_SCALE,
-    BENCH_TELEMETRY,
-    BENCH_TELEMETRY_DIR,
-)
+from conftest import BENCH_ARCH, BENCH_SCALE, record_bench
 
 # The reference graph lives with the tests; a bare `pytest benchmarks/`
 # does not put the repository root on sys.path.
@@ -193,23 +186,11 @@ def test_fabric_build_speedup(benchmark):
         ref, ir = getattr(built["reference"], name), getattr(built["FabricIR"], name)
         assert ref.dtype == ir.dtype and np.array_equal(ref, ir), name
 
-    if BENCH_TELEMETRY:
-        doc = {
-            "circuit": "fabric-build",
-            "manifest": run_manifest(
-                arch=BENCH_ARCH,
-                extra={"grid": [nx, ny],
-                       "rr_nodes": built["FabricIR"].num_nodes}),
-            "telemetry": {"flows": [], "stages": {
-                "t_reference": times["reference"],
-                "t_fabric_ir": times["FabricIR"],
-                "speedup_build": speedup,
-            }},
-        }
-        path = os.path.join(BENCH_TELEMETRY_DIR, "BENCH_fabric_build.json")
-        write_json(path, doc)
-        if BENCH_HISTORY:
-            append_history(BENCH_HISTORY, [summarize_bench(doc, source=path)])
+    record_bench(
+        "fabric_build",
+        grid_nx=nx, grid_ny=ny, rr_nodes=built["FabricIR"].num_nodes,
+        t_reference=times["reference"], t_fabric_ir=times["FabricIR"],
+        speedup_build=speedup)
 
     assert speedup >= MIN_BUILD_SPEEDUP, (
         f"FabricIR build speedup {speedup:.1f}x below {MIN_BUILD_SPEEDUP}x gate"

@@ -21,9 +21,9 @@ Knobs:
     REPRO_BENCH_MISSION_YEARS      device-years simulated (default 40)
     REPRO_BENCH_MISSION_CAMPAIGNS  aging trajectories (default 2)
 
-A ``BENCH_mission.json`` lands next to the other bench telemetry with
-per-policy final yield / time-to-first-unrepairable / runtime as its
-``stages``, so the bench-history trajectory tracks both the QoR of the
+Per-policy final yield / time-to-first-unrepairable / runtime become
+the attrs of a ``bench.mission`` root span in the session's
+``BENCH_run.jsonl``, so ``repro db trend`` tracks both the QoR of the
 repair machinery and its cost across commits.
 """
 
@@ -34,17 +34,9 @@ import pytest
 
 from repro.faults import MissionSpec, simulate_mission
 from repro.netlist import load_circuit
-from repro.obs import run_manifest, write_json
-from repro.obs.analyze import append_history, summarize_bench
 from repro.vpr import run_flow
 
-from conftest import (
-    BENCH_ARCH,
-    BENCH_HISTORY,
-    BENCH_SCALE,
-    BENCH_TELEMETRY,
-    BENCH_TELEMETRY_DIR,
-)
+from conftest import BENCH_ARCH, BENCH_SCALE, record_bench
 
 MISSION_EPOCHS = int(os.environ.get("REPRO_BENCH_MISSION_EPOCHS", "4"))
 MISSION_YEARS = float(os.environ.get("REPRO_BENCH_MISSION_YEARS", "40"))
@@ -88,29 +80,15 @@ def test_mission_policy_gap(benchmark):
               f"{sum(t.repairs for t in mission.trajectories):8d} "
               f"{seconds[policy]:8.2f}")
 
-    if BENCH_TELEMETRY:
-        stages = {}
-        for policy in POLICIES:
-            mission = missions[policy]
-            ttf = mission.time_to_first_unrepairable
-            stages[f"final_yield_{policy}"] = curves[policy][-1]["yield"]
-            stages[f"ttf_years_{policy}"] = (
-                MISSION_YEARS if ttf is None else ttf)
-            stages[f"t_{policy}"] = seconds[policy]
-        doc = {
-            "circuit": "tseng-mission",
-            "manifest": run_manifest(
-                arch=BENCH_ARCH,
-                extra={"bench_scale": BENCH_SCALE,
-                       "mission_epochs": MISSION_EPOCHS,
-                       "mission_years": MISSION_YEARS,
-                       "mission_campaigns": MISSION_CAMPAIGNS}),
-            "telemetry": {"flows": [], "stages": stages},
-        }
-        path = os.path.join(BENCH_TELEMETRY_DIR, "BENCH_mission.json")
-        write_json(path, doc)
-        if BENCH_HISTORY:
-            append_history(BENCH_HISTORY, [summarize_bench(doc, source=path)])
+    numbers = {}
+    for policy in POLICIES:
+        ttf = missions[policy].time_to_first_unrepairable
+        numbers[f"final_yield_{policy}"] = curves[policy][-1]["yield"]
+        numbers[f"ttf_years_{policy}"] = MISSION_YEARS if ttf is None else ttf
+        numbers[f"t_{policy}"] = seconds[policy]
+    record_bench("mission", bench_scale=BENCH_SCALE,
+                 mission_epochs=MISSION_EPOCHS, mission_years=MISSION_YEARS,
+                 mission_campaigns=MISSION_CAMPAIGNS, **numbers)
 
     assert curves["every-epoch-bist"][-1]["yield"] >= \
         curves["never"][-1]["yield"], (

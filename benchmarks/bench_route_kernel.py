@@ -21,10 +21,11 @@ A second, fixed arm races the kernels on a graph of the size the
 channel-width search probes (tseng at scale 0.03, W = 12: under 1,500
 RR nodes), where the router also runs numpy.
 
-A ``BENCH_route_kernel.json`` lands next to the other bench telemetry
-(same shape `repro bench-history append` consumes), with the per-arm
-seconds and the speedups as its ``stages``, so the bench-history
-trajectory tracks kernel-performance regressions across commits.
+The full-size arm records its per-arm seconds and the numpy speedup
+as the attrs of a ``bench.route_kernel`` root span in the session's
+``BENCH_run.jsonl``, so ``repro db trend
+span.bench.route_kernel.speedup_numpy`` tracks kernel performance
+across commits.
 """
 
 import os
@@ -35,14 +36,12 @@ import pytest
 
 from repro.fabric import get_fabric
 from repro.netlist import load_circuit
-from repro.obs import run_manifest, write_json
-from repro.obs.analyze import append_history, summarize_bench
 from repro.arch import ArchParams
 from repro.vpr.route import PathFinderRouter, build_route_nets
 from repro.vpr.pack import pack
 from repro.vpr.place import place
 
-from conftest import BENCH_HISTORY, BENCH_TELEMETRY, BENCH_TELEMETRY_DIR
+from conftest import record_bench
 
 ROUTE_SCALE = float(os.environ.get("REPRO_BENCH_ROUTE_SCALE", "1.0"))
 ROUTE_W = int(os.environ.get("REPRO_BENCH_ROUTE_W", "56"))
@@ -106,22 +105,10 @@ def test_route_kernel_speedup(benchmark):
         assert _fingerprint(results[kernel]) == ref, (
             f"kernel {kernel!r} diverged from the reference walk")
 
-    if BENCH_TELEMETRY:
-        stages = {f"t_{k}": times[k] for k in arms}
-        stages.update({f"speedup_{k}": speedups[k] for k in arms[1:]})
-        doc = {
-            "circuit": "tseng-route-kernel",
-            "manifest": run_manifest(
-                arch=ROUTE_ARCH,
-                extra={"bench_scale": ROUTE_SCALE,
-                       "route_w": ROUTE_W,
-                       "rr_nodes": graph.num_nodes}),
-            "telemetry": {"flows": [], "stages": stages},
-        }
-        path = os.path.join(BENCH_TELEMETRY_DIR, "BENCH_route_kernel.json")
-        write_json(path, doc)
-        if BENCH_HISTORY:
-            append_history(BENCH_HISTORY, [summarize_bench(doc, source=path)])
+    numbers = {f"t_{k}": times[k] for k in arms}
+    numbers.update({f"speedup_{k}": speedups[k] for k in arms[1:]})
+    record_bench("route_kernel", bench_scale=ROUTE_SCALE, route_w=ROUTE_W,
+                 rr_nodes=graph.num_nodes, **numbers)
 
     # A loose not-slower floor on shrunk runs, the full gate at the
     # full-size default where the observed figure (3.2x) leaves real

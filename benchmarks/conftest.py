@@ -10,10 +10,17 @@ regenerates the evaluation.  P&R results are cached per circuit at
 session scope because several figures share them.
 
 A session-wide `repro.obs.Tracer` is auto-attached, so every flow the
-benches run is traced; at session end each traced circuit gets a
-``BENCH_<circuit>.json`` with a ``telemetry`` section (per-stage
-timings, router convergence) plus one ``BENCH_telemetry.json`` run
-summary.
+benches run is traced; at session end the whole session is written as
+one schema-v1 run, ``BENCH_run.jsonl`` (the records ``--metrics-out``
+writes: manifest first, then one record per root span).  Benches that
+time something other than a flow record their numbers as the attrs of
+one zero-work root span (`record_bench`), so they reach the warehouse
+as ``span.bench.<name>.<attr>`` keys:
+
+    repro db --db telemetry.sqlite ingest BENCH_run.jsonl
+    repro db --db telemetry.sqlite trend span.bench.mission.t_never
+
+`repro report` and `repro diff` read the same file.
 
 Environment knobs:
 
@@ -21,16 +28,8 @@ Environment knobs:
                         paper's circuits at full size need hours in
                         pure Python — see DESIGN.md Sec. 6)
     REPRO_BENCH_MCNC    number of MCNC circuits to include (default 6)
-    REPRO_BENCH_TELEMETRY      "0" disables the BENCH_*.json outputs
+    REPRO_BENCH_TELEMETRY      "0" disables the BENCH_run.jsonl output
     REPRO_BENCH_TELEMETRY_DIR  output directory (default: cwd)
-    REPRO_BENCH_HISTORY        path of a bench-history JSONL; when set,
-                               each BENCH_<circuit>.json is also
-                               appended as a history row (same format
-                               as `repro bench-history append`)
-    REPRO_TELEMETRY_DB         path of a telemetry warehouse (sqlite);
-                               when set, the session's traced spans are
-                               also ingested as one schema-v1 run
-                               (idempotent — see `repro db`)
 """
 
 import os
@@ -41,13 +40,13 @@ from repro.arch import ArchParams
 from repro.netlist import ALTERA4_PARAMS, MCNC20_PARAMS, generate
 from repro.obs import (
     Tracer,
+    get_tracer,
     reset_tracer,
     run_manifest,
     set_tracer,
-    span_to_dict,
-    write_json,
+    telemetry_records,
+    write_jsonl,
 )
-from repro.obs.analyze import append_history, summarize_bench
 from repro.vpr import run_flow
 
 #: Default shrink factor for the P&R figures.
@@ -101,73 +100,32 @@ def bench_arch():
     return BENCH_ARCH
 
 
-#: "0" disables BENCH_*.json telemetry outputs.
+#: "0" disables the BENCH_run.jsonl telemetry output.
 BENCH_TELEMETRY = os.environ.get("REPRO_BENCH_TELEMETRY", "1") != "0"
-#: Where the BENCH_*.json files land.
+#: Where BENCH_run.jsonl lands.
 BENCH_TELEMETRY_DIR = os.environ.get("REPRO_BENCH_TELEMETRY_DIR", ".")
-#: When set, bench summaries are also appended to this history file.
-BENCH_HISTORY = os.environ.get("REPRO_BENCH_HISTORY", "")
-#: When set, the session run is also ingested into this warehouse.
-TELEMETRY_DB = os.environ.get("REPRO_TELEMETRY_DB", "")
+
+
+def record_bench(name: str, **numbers: float) -> None:
+    """Record a bench's numbers as the attrs of one zero-work root span
+    ``bench.<name>`` in the session tracer (call it after timing)."""
+    with get_tracer().span(f"bench.{name}", **numbers):
+        pass
 
 
 def _write_bench_telemetry(tracer: Tracer) -> None:
-    """One BENCH_<circuit>.json per traced flow + a session summary."""
+    """The whole session as one schema-v1 run, BENCH_run.jsonl."""
     manifest = run_manifest(
         arch=BENCH_ARCH,
         extra={"bench_scale": BENCH_SCALE, "bench_mcnc": BENCH_MCNC_COUNT},
     )
-    per_circuit = {}
-    for root in tracer.roots:
-        circuit = root.attrs.get("circuit")
-        if root.name in ("flow.run", "flow.timing_driven") and circuit:
-            per_circuit.setdefault(circuit, []).append(span_to_dict(root))
-    history_rows = []
-    for circuit, spans in per_circuit.items():
-        path = os.path.join(BENCH_TELEMETRY_DIR, f"BENCH_{circuit}.json")
-        doc = {
-            "circuit": circuit,
-            "manifest": manifest,
-            "telemetry": {
-                "flows": spans,
-                "stages": {
-                    stage: sum(
-                        child["duration_s"] or 0.0
-                        for span in spans
-                        for child in span["children"]
-                        if child["name"] == stage
-                    )
-                    for stage in ("flow.pack", "flow.place", "flow.route")
-                },
-            },
-        }
-        write_json(path, doc)
-        if BENCH_HISTORY:
-            history_rows.append(summarize_bench(doc, source=path))
-    if BENCH_HISTORY and history_rows:
-        append_history(BENCH_HISTORY, history_rows)
-    write_json(os.path.join(BENCH_TELEMETRY_DIR, "BENCH_telemetry.json"), {
-        "manifest": manifest,
-        "circuits": sorted(per_circuit),
-        "telemetry": {
-            "spans": [span_to_dict(root) for root in tracer.roots],
-        },
-    })
-    if TELEMETRY_DB:
-        from repro.obs import store, telemetry_records
-
-        con = store.connect(TELEMETRY_DB)
-        try:
-            store.ingest_records(
-                con, telemetry_records(manifest, tracer),
-                source="benchmarks session", label="bench")
-        finally:
-            con.close()
+    write_jsonl(os.path.join(BENCH_TELEMETRY_DIR, "BENCH_run.jsonl"),
+                telemetry_records(manifest, tracer))
 
 
 @pytest.fixture(scope="session", autouse=True)
 def bench_tracer():
-    """Trace every flow the benches run; dump BENCH_*.json at exit."""
+    """Trace every flow the benches run; write BENCH_run.jsonl at exit."""
     tracer = Tracer()
     token = set_tracer(tracer)
     try:

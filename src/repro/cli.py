@@ -20,7 +20,6 @@ Telemetry consumers (see `repro.obs.analyze`):
 
 * ``repro report``        — render one ``--metrics-out`` JSONL run
 * ``repro diff``          — compare two runs, gate with ``--fail-on``
-* ``repro bench-history`` — benchmark trajectory append / regression check
 * ``repro db``            — sqlite telemetry warehouse: ingest runs, rank
   spans across runs, plot a measurement's trajectory, and attribute an
   end-to-end regression to the spans responsible (``db attribute``)
@@ -883,61 +882,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     return 0 if verdict.ok else 1
 
 
-def _cmd_bench_history(args: argparse.Namespace) -> int:
-    from .obs.analyze import (
-        append_history,
-        check_history,
-        load_bench_file,
-        load_history,
-        prune_history,
-    )
-
-    if args.action == "prune":
-        try:
-            kept, dropped = prune_history(args.history, keep=args.keep)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(f"pruned {args.history}: kept {kept} row(s), "
-              f"dropped {dropped}", file=sys.stderr)
-        return 0
-    try:
-        rows = [load_bench_file(path) for path in args.bench]
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.action == "append":
-        written = append_history(args.history, rows)
-        print(f"appended {written} row(s) to {args.history}", file=sys.stderr)
-        return 0
-    history, warnings = load_history(args.history)
-    for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    check = check_history(
-        history, rows,
-        window=args.window,
-        band_pct=args.band,
-        wall_times=not args.qor_only,
-    )
-    if args.json:
-        print(json.dumps(check.to_dict(), sort_keys=True))
-    else:
-        for entry in check.compared:
-            pct = entry["pct"]
-            print(f"{entry['circuit']:>12s} {entry['measure']:<18s} "
-                  f"{entry['current']:>12g} vs median {entry['baseline_median']:>12g} "
-                  f"({'+inf' if pct is None else format(pct, '+.1f')}%) "
-                  f"{'ok' if entry['ok'] else 'REGRESSION'}")
-    for warning in check.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    for violation in check.violations:
-        print(f"FAIL {violation}", file=sys.stderr)
-    if check.ok:
-        print(f"OK: {len(check.compared)} measure(s) within {args.band:g}% "
-              f"of median-of-{args.window}", file=sys.stderr)
-    return 0 if check.ok else 1
-
-
 def _db_load_run(con_box: dict, args: argparse.Namespace, selector: str):
     """A `ParsedRun` from a warehouse selector *or* a JSONL file path.
 
@@ -1398,37 +1342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_diff.add_argument("--json", action="store_true",
                         help="machine-readable verdict on stdout")
     p_diff.set_defaults(func=_cmd_diff)
-
-    p_hist = sub.add_parser(
-        "bench-history",
-        help="benchmark-history trajectory: append BENCH_*.json, check regressions")
-    hist_sub = p_hist.add_subparsers(dest="action", required=True)
-    p_append = hist_sub.add_parser(
-        "append", help="summarise BENCH_*.json files into the history JSONL")
-    p_append.add_argument("--history", required=True, metavar="PATH",
-                          help="history JSONL file (created if absent)")
-    p_append.add_argument("bench", nargs="+", help="BENCH_<circuit>.json files")
-    p_append.set_defaults(func=_cmd_bench_history)
-    p_check = hist_sub.add_parser(
-        "check", help="gate BENCH_*.json files against the history median")
-    p_check.add_argument("--history", required=True, metavar="PATH")
-    p_check.add_argument("--window", type=int, default=5,
-                         help="median over the last N history rows (default 5)")
-    p_check.add_argument("--band", type=float, default=25.0,
-                         help="allowed regression in percent (default 25)")
-    p_check.add_argument("--qor-only", action="store_true",
-                         help="gate only QoR measures, not wall times "
-                              "(for cross-machine comparisons)")
-    p_check.add_argument("--json", action="store_true",
-                         help="machine-readable verdict on stdout")
-    p_check.add_argument("bench", nargs="+", help="BENCH_<circuit>.json files")
-    p_check.set_defaults(func=_cmd_bench_history)
-    p_prune = hist_sub.add_parser(
-        "prune", help="deduplicate the history; optionally trim per circuit")
-    p_prune.add_argument("--history", required=True, metavar="PATH")
-    p_prune.add_argument("--keep", type=int, default=None, metavar="N",
-                         help="keep only the newest N rows per circuit")
-    p_prune.set_defaults(func=_cmd_bench_history, bench=[])
 
     p_db = sub.add_parser(
         "db",

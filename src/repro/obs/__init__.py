@@ -29,8 +29,8 @@ Modules:
 * `live`     — in-terminal live batch table (`repro watch`)
 * `logging`  — structured stderr logging (`setup_logging`, `kv`)
 * `analyze`  — the consumer side: run reports (`repro report`),
-  run-to-run diffing with regression gates (`repro diff`), and the
-  benchmark-history store (`repro bench-history`)
+  run-to-run diffing with regression gates (`repro diff`), and
+  cross-run attribution (`repro db attribute`)
 * `store`    — sqlite telemetry warehouse for cross-run queries
   (`repro db ingest/top/trend/attribute`)
 """

@@ -7,8 +7,6 @@ PR 1 made the flow *emit* telemetry; this package *consumes* it:
 * `report`  — human-readable run reports (`repro report`);
 * `diff`    — run-to-run alignment, delta tables and regression gates
   (`repro diff --fail-on 'route.wall_s>+10%'`);
-* `history` — benchmark-history trajectory + median-of-N gating
-  (`repro bench-history append/check`);
 * `attribution` — cross-run regression attribution: exact raw-self-time
   delta decomposition, per-stage roll-up, batch critical paths, and
   profiler-stack deltas (`repro db attribute`).
@@ -37,23 +35,11 @@ from .diff import (
     parse_threshold,
     run_measurements,
 )
-from .history import (
-    HISTORY_SCHEMA,
-    HistoryCheck,
-    append_history,
-    check_history,
-    load_bench_file,
-    load_history,
-    prune_history,
-    summarize_bench,
-)
 
 __all__ = [
     "Attribution",
     "CriticalPathEntry",
     "DiffEntry",
-    "HISTORY_SCHEMA",
-    "HistoryCheck",
     "ParsedRun",
     "RunDiff",
     "SpanDelta",
@@ -61,24 +47,18 @@ __all__ = [
     "StageDelta",
     "Threshold",
     "Verdict",
-    "append_history",
     "attribute_runs",
-    "check_history",
     "critical_path",
     "diff_runs",
     "diff_to_dict",
     "evaluate_thresholds",
     "format_attribution",
     "format_diff",
-    "load_bench_file",
-    "load_history",
     "load_run",
     "parse_run",
     "parse_threshold",
-    "prune_history",
     "render_attribution_html",
     "render_html",
     "render_report",
     "run_measurements",
-    "summarize_bench",
 ]

@@ -86,12 +86,16 @@ def run_measurements(run: ParsedRun) -> Dict[str, float]:
     out.update(_stage_measurements(run.spans))
 
     # Per-circuit views when flows over several circuits share one run
-    # (repro headline): each root with a circuit attr contributes a
-    # circuit.<name>. namespace over its own subtree.
+    # (repro headline): the roots with a circuit attr form a
+    # circuit.<name>. namespace over their subtrees, under the same
+    # rules as the unprefixed keys (wall summed, attrs last-wins).
+    by_circuit: Dict[str, List[SpanNode]] = {}
     for root in run.spans:
         circuit = root.attrs.get("circuit")
         if isinstance(circuit, str) and circuit:
-            out.update(_stage_measurements([root], prefix=f"circuit.{circuit}."))
+            by_circuit.setdefault(circuit, []).append(root)
+    for circuit, roots in by_circuit.items():
+        out.update(_stage_measurements(roots, prefix=f"circuit.{circuit}."))
 
     # Per-variant evaluation results (critical path, power, area).
     for node, _depth in run.walk():

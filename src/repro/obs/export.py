@@ -217,7 +217,7 @@ def _ensure_parent(path: str) -> None:
 
 
 def write_json(path: str, obj: object) -> None:
-    """Pretty-printed single-document JSON (BENCH_*.json outputs).
+    """Pretty-printed single-document JSON (``--out``/``--results`` files).
 
     Atomic via tmp + `os.replace`, like `write_jsonl`.
     """

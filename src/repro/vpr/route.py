@@ -224,7 +224,7 @@ class PathFinderRouter:
         self._pin_groups: Optional[Dict[Tuple[int, int, int], List[int]]] = None
         # The expansion kernel owns the mutable per-node state
         # (occupancy / history / static costs) and the search loop.
-        self.kernel = resolve_kernel(kernel, n)
+        self.kernel = resolve_kernel(kernel)
         self._kernel = make_kernel(self.kernel, self)
 
     # -- kernel delegation --------------------------------------------------

@@ -87,11 +87,11 @@ H_CACHE_BYTES = 64 * 1024 * 1024
 BB_CACHE_ENTRIES = 4096
 
 
-def resolve_kernel(kernel: Optional[str], num_nodes: int) -> str:
-    """The kernel to run: ``kernel`` when given, else numpy, whatever
-    the graph's ``num_nodes`` (measured, the numpy kernel beats the
-    reference on the smallest graphs the flows route too).  Unknown
-    names raise `ValueError`."""
+def resolve_kernel(kernel: Optional[str]) -> str:
+    """The kernel to run: ``kernel`` when given, else numpy on every
+    graph (measured, the numpy kernel beats the reference on the
+    smallest graphs the flows route too).  Unknown names raise
+    `ValueError`."""
     if kernel is None:
         return "numpy"
     if kernel not in KERNELS:

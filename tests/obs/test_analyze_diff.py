@@ -72,6 +72,61 @@ class TestMeasurements:
         m = run_measurements(flow_run())
         assert m["route.success"] == 1.0
 
+    def test_repeated_circuit_roots_follow_unprefixed_rules(self):
+        # Two flows of one circuit in one run (a bench session): the
+        # per-circuit keys sum wall time and let the last attrs win,
+        # exactly as the unprefixed keys do.
+        def root(route_s, wirelength):
+            return span("flow.run", route_s + 0.6, {"circuit": "tseng"}, [
+                span("flow.route", route_s, {"wirelength": wirelength})])
+
+        m = run_measurements(parse_run([root(1.0, 100), root(2.0, 200)]))
+        assert m["route.wall_s"] == pytest.approx(3.0)
+        for key in ("wall_s", "count", "wirelength"):
+            assert m[f"circuit.tseng.route.{key}"] == m[f"route.{key}"], key
+        assert m["circuit.tseng.route.count"] == 2.0
+        assert m["circuit.tseng.route.wirelength"] == 200.0
+
+    def test_interleaved_circuits_group_by_name(self):
+        # tseng, alu4, tseng: the alu4 root between the two tseng roots
+        # neither joins nor splits the tseng group.
+        def root(circuit, route_s, wirelength):
+            return span("flow.run", route_s + 0.6, {"circuit": circuit}, [
+                span("flow.route", route_s, {"wirelength": wirelength})])
+
+        m = run_measurements(parse_run([
+            root("tseng", 1.0, 100), root("alu4", 5.0, 900),
+            root("tseng", 2.0, 200)]))
+        assert m["circuit.tseng.route.wall_s"] == pytest.approx(3.0)
+        assert m["circuit.tseng.route.count"] == 2.0
+        assert m["circuit.tseng.route.wirelength"] == 200.0
+        assert m["circuit.alu4.route.wall_s"] == pytest.approx(5.0)
+        assert m["circuit.alu4.route.count"] == 1.0
+        assert m["circuit.alu4.route.wirelength"] == 900.0
+        assert m["route.wall_s"] == pytest.approx(8.0)
+
+    def test_roots_without_circuit_stay_unprefixed(self):
+        # A bench.<name> root has no circuit attr: it adds to the span
+        # keys and the run total but to no circuit namespace.
+        m = run_measurements(parse_run([
+            span("flow.run", 1.6, {"circuit": "tseng"}, [
+                span("flow.route", 1.0, {"wirelength": 100})]),
+            span("bench.x", 0.0, {"speedup": 2.5})]))
+        assert m["span.bench.x.speedup"] == 2.5
+        assert not any(key.startswith("circuit.")
+                       and "speedup" in key for key in m)
+        assert m["circuit.tseng.route.wall_s"] == m["route.wall_s"]
+
+    def test_single_root_prefixed_keys_mirror_unprefixed(self):
+        # One root per circuit (a `repro flow` run): every stage key has
+        # a circuit-prefixed twin with the same value.
+        m = run_measurements(flow_run())
+        stage_keys = [key for key in m
+                      if key.split(".")[0] in ("pack", "place", "route")]
+        assert stage_keys
+        for key in stage_keys:
+            assert m[f"circuit.tseng.{key}"] == m[key], key
+
 
 class TestAlignment:
     def test_identical_runs_diff_to_zero(self):

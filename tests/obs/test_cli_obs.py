@@ -1,5 +1,5 @@
 """CLI observability: --json, --metrics-out, -v, stdout/stderr split,
-and the analysis commands (report / diff / bench-history)."""
+and the analysis commands (report / diff)."""
 
 import json
 import os
@@ -202,46 +202,15 @@ class TestDiffCommand:
         assert "bad threshold" in capsys.readouterr().err
 
 
-class TestBenchHistoryCommand:
-    def bench_file(self, tmp_path, sha="abc", wirelength=161):
-        doc = {
-            "circuit": "tseng",
-            "manifest": {"git_sha": sha, "created_unix": 1000.0},
-            "telemetry": {
-                "flows": [{"name": "flow.run", "children": [
-                    {"name": "flow.route",
-                     "attrs": {"wirelength": wirelength, "iterations": 9}}]}],
-                "stages": {"flow.pack": 0.01, "flow.place": 0.1,
-                           "flow.route": 0.2},
-            },
-        }
-        path = tmp_path / f"BENCH_tseng_{sha}.json"
-        path.write_text(json.dumps(doc))
-        return str(path)
-
-    def test_append_then_check_passes(self, capsys, tmp_path):
-        hist = str(tmp_path / "hist.jsonl")
-        for sha in ("a", "b", "c"):
-            assert main(["bench-history", "append", "--history", hist,
-                         self.bench_file(tmp_path, sha)]) == 0
-        code = main(["bench-history", "check", "--history", hist,
-                     self.bench_file(tmp_path, "new")])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "qor.wirelength" in captured.out
-
-    def test_check_flags_regression(self, capsys, tmp_path):
-        hist = str(tmp_path / "hist.jsonl")
-        for sha in ("a", "b", "c"):
-            main(["bench-history", "append", "--history", hist,
-                  self.bench_file(tmp_path, sha, wirelength=100)])
-        code = main(["bench-history", "check", "--history", hist, "--json",
-                     self.bench_file(tmp_path, "new", wirelength=200)])
-        captured = capsys.readouterr()
-        assert code == 1
-        payload = json.loads(captured.out)
-        assert payload["ok"] is False
-        assert any("qor.wirelength" in v for v in payload["violations"])
+class TestBenchHistoryRemoved:
+    @pytest.mark.parametrize("action", ["append", "check", "prune"])
+    def test_bench_history_is_not_a_command(self, capsys, tmp_path, action):
+        """Bench runs go to the warehouse (`repro db ingest`) instead."""
+        with pytest.raises(SystemExit) as exc:
+            main(["bench-history", action, "--history",
+                  str(tmp_path / "hist.jsonl"), "BENCH_run.jsonl"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestVerbose:

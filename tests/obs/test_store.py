@@ -5,6 +5,15 @@ import os
 
 import pytest
 
+from repro.arch import ArchParams
+from repro.netlist import load_circuit
+from repro.obs import (
+    Tracer,
+    run_manifest,
+    telemetry_records,
+    use_tracer,
+    write_jsonl,
+)
 from repro.obs.store import (
     STORE_SCHEMA,
     connect,
@@ -18,6 +27,7 @@ from repro.obs.store import (
     top_spans,
     trend,
 )
+from repro.vpr import run_flow
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "run_v1.jsonl")
 
@@ -231,3 +241,78 @@ class TestQueries:
     def test_trend_unknown_key_empty(self, con):
         ingest_records(con, synthetic_records())
         assert trend(con, "no.such.measure") == []
+
+
+class TestBenchSession:
+    """A bench session's one run file is the perf history: traced flows
+    and ``bench.<name>`` root spans reach `trend` through one ingest."""
+
+    def test_bench_run_round_trip(self, con, tmp_path):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            flow = run_flow(load_circuit("tseng", scale=0.03),
+                            ArchParams(channel_width=56), seed=1)
+            with tracer.span("bench.x", speedup=2.5, rr_nodes=1664):
+                pass
+        assert flow.success
+        path = str(tmp_path / "BENCH_run.jsonl")
+        write_jsonl(path, telemetry_records(run_manifest(), tracer))
+
+        first = ingest_file(con, path, label="bench")
+        counts = table_counts(con)
+        second = ingest_file(con, path, label="bench")
+        assert first.inserted and not first.warnings
+        assert not second.inserted and second.run_id == first.run_id
+        assert table_counts(con) == counts
+
+        def value(key):
+            rows = trend(con, key)
+            assert len(rows) == 1, key
+            return rows[0]["value"]
+
+        root = tracer.roots[0]
+        for stage in ("pack", "place", "route"):
+            (span,) = [c for c in root.children if c.name == f"flow.{stage}"]
+            assert value(f"circuit.tseng.{stage}.wall_s") == \
+                pytest.approx(span.duration_s)
+        assert value("circuit.tseng.route.wirelength") == \
+            flow.routing.wirelength
+        assert value("circuit.tseng.route.iterations") == \
+            flow.routing.iterations
+        assert value("circuit.tseng.route.channel_width") == 56
+        assert value("span.bench.x.speedup") == 2.5
+        assert value("span.bench.x.rr_nodes") == 1664
+
+    def test_two_circuits_in_one_run_keep_apart(self, con):
+        # A bench session routes several circuits: each gets its own
+        # circuit.<name>. keys in the one run.
+        extra = [{"type": "span", "name": "flow.run", "duration_s": 4.0,
+                  "attrs": {"circuit": "alu4"},
+                  "children": [{"name": "flow.route", "duration_s": 3.0,
+                                "attrs": {"wirelength": 900}}]}]
+        ingest_records(con, synthetic_records(route_s=1.0, extra=extra))
+        assert [r["value"] for r in trend(con, "circuit.tseng.route.wall_s")] \
+            == [1.0]
+        assert [r["value"] for r in trend(con, "circuit.alu4.route.wall_s")] \
+            == [3.0]
+        assert [r["value"] for r in
+                trend(con, "circuit.alu4.route.wirelength")] == [900.0]
+        assert [r["value"] for r in trend(con, "route.wall_s")] == [4.0]
+
+    def test_distinct_runs_of_one_sha_both_kept(self, con):
+        # Re-running the benches at one commit gives new wall times, so
+        # a new run; only byte-identical content is deduplicated.
+        a = ingest_records(con, synthetic_records(sha="x", route_s=1.0))
+        b = ingest_records(con, synthetic_records(sha="x", route_s=1.5))
+        assert a.inserted and b.inserted and a.run_id != b.run_id
+        assert [r["value"] for r in trend(con, "circuit.tseng.route.wall_s")] \
+            == [1.0, 1.5]
+
+    def test_foreign_records_warn_and_skip(self, con):
+        extra = ["not an object", {"type": "other"},
+                 {"type": "manifest", "schema": 99}]
+        result = ingest_records(con, synthetic_records(extra=extra))
+        assert result.inserted
+        assert len(result.warnings) == 3
+        assert any("newer than supported" in w for w in result.warnings)
+        assert [r["value"] for r in trend(con, "route.wall_s")] == [1.0]
