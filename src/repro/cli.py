@@ -4,9 +4,11 @@ Exposes the library's main entry points without writing Python:
 
 * ``repro device``    — relay design points (Fig. 2b / Fig. 11 anchors)
 * ``repro crossbar``  — program a crossbar via half-select
-* ``repro flow``      — pack/place/route/configure a benchmark + variants
+* ``repro flow``      — pack/place/route/configure a benchmark + variants,
+  through the batch worker's own configure-and-evaluate step
 * ``repro batch``     — a (circuit x variant x seed) job matrix over a
-  worker-process pool, bit-identical to serial (see `repro.runner`)
+  worker-process pool, bit-identical to serial (see `repro.runner`);
+  ``--store DIR`` serves and publishes results through the result store
 * ``repro watch``     — the same batch with the live telemetry table
   (``batch --live``): per-job stage, PathFinder iteration, repair
   rung, RSS, and heartbeat age streamed from the workers
@@ -170,51 +172,6 @@ def _cmd_crossbar(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _cmd_flow_store(args: argparse.Namespace) -> int:
-    """`repro flow --store`: the flow as one store-backed job.
-
-    Builds the `JobSpec` the flags describe and serves it through the
-    result store — a warm store answers without running P&R at all;
-    a miss executes the normal worker flow and publishes the result.
-    """
-    import time as time_mod
-
-    from .obs import setup_logging
-    from .runner.executor import run_single_job
-    from .runner.spec import JobSpec
-
-    if getattr(args, "verbose", 0):
-        setup_logging(args.verbose)
-    spec = JobSpec(circuit=args.circuit, variant=args.variant,
-                   seed=args.seed, width=args.width, scale=args.scale)
-    store = _open_store(args)
-    started = time_mod.perf_counter()
-    result = run_single_job(spec, store=store, retries=1,
-                            timeout_s=getattr(args, "timeout", None))
-    wall_s = time_mod.perf_counter() - started
-    cached = store.stats.hits > 0
-    doc = {
-        "job": spec.key,
-        "status": result.status,
-        "cached": cached,
-        "wall_s": wall_s,
-        "result": result.to_dict(),
-    }
-    if args.json:
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        qor = result.qor
-        print(f"{spec.key}: {result.status}"
-              f" ({'store hit' if cached else 'computed'}, {wall_s:.2f}s)")
-        if result.ok:
-            print(f"  wl={qor.get('wirelength')} it={qor.get('iterations')} "
-                  f"crit={qor.get('critical_path_s', 0) * 1e9:.2f}ns "
-                  f"W={qor.get('channel_width')}")
-        elif result.error:
-            print(f"  {result.error.splitlines()[0]}", file=sys.stderr)
-    return 0 if result.ok else 1
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
@@ -249,21 +206,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_flow(args: argparse.Namespace) -> int:
     from .arch import ArchParams
-    from .config.bitstream import extract_bitstream, program_fabric
-    from .core import (
-        Comparison,
-        baseline_variant,
-        evaluate_design,
-        naive_nem_variant,
-        optimized_nem_variant,
-        shared_evaluation,
-    )
     from .netlist import load_circuit
-    from .obs import get_tracer
+    from .runner.worker import configure_and_evaluate, variant_for
     from .vpr import render_congestion, render_placement, run_flow, utilization_summary
 
-    if getattr(args, "store", None):
-        return _cmd_flow_store(args)
     arch = ArchParams(channel_width=args.width)
     netlist = load_circuit(args.circuit, scale=args.scale)
     # Progress and failure diagnostics go to stderr: stdout carries
@@ -287,26 +233,18 @@ def _cmd_flow(args: argparse.Namespace) -> int:
                 }, sort_keys=True))
             return 1
         # Configure the relay fabric for the routed design (Sec. 2 meets
-        # Sec. 3): extract the "bitstream" and drive every tile's
-        # crossbar through half-select programming.
-        with get_tracer().span("flow.configure", circuit=netlist.name):
-            bitstream = extract_bitstream(flow.routing, flow.graph)
-            config = program_fabric(bitstream)
+        # Sec. 3), then compare both NEM variants against the baseline.
+        design = configure_and_evaluate(flow, arch, [
+            variant_for("nem-naive", arch),
+            variant_for("nem-opt", arch, args.downsize),
+        ])
+        bitstream, config, base = design.bitstream, design.config, design.base
         if not config.success:
             print(f"fabric programming FAILED on {len(config.failures)} tile(s)",
                   file=sys.stderr)
-        variants = [
-            ("naive CMOS-NEM", naive_nem_variant(arch)),
-            (f"optimised (downsize {args.downsize:g})",
-             optimized_nem_variant(arch, args.downsize)),
-        ]
-        shared = shared_evaluation(flow)
-        base = evaluate_design(flow, baseline_variant(arch), **shared)
-        comparisons = []
-        for label, variant in variants:
-            point = evaluate_design(flow, variant, frequency=base.frequency,
-                                    **shared)
-            comparisons.append((label, Comparison.of(base, point)))
+        labels = ["naive CMOS-NEM", f"optimised (downsize {args.downsize:g})"]
+        comparisons = [(label, cmp) for label, (_variant, _point, cmp)
+                       in zip(labels, design.variants)]
         if args.json:
             print(json.dumps({
                 "circuit": netlist.name,
@@ -1091,12 +1029,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_flow = sub.add_parser("flow", help="pack/place/route + variant table")
     add_flow_args(p_flow)
-    add_store_args(p_flow)
-    p_flow.add_argument("--variant", default="baseline",
-                        help="job variant for --store mode: baseline, "
-                             "nem-naive, nem-opt[:downsize]")
-    p_flow.add_argument("--timeout", type=float, default=None,
-                        help="wall-clock limit for --store mode (seconds)")
     p_flow.add_argument("--downsize", type=float, default=8.0)
     p_flow.add_argument("--show-maps", action="store_true",
                         help="print floorplan and congestion maps")

@@ -499,8 +499,8 @@ def run_batch(
 
         start = time.perf_counter()
         # Store precheck, before any prewarm: a warm store turns the whole
-        # batch into lookups, so the (expensive) parent-side warm-up must
-        # only cover jobs that will actually execute.
+        # batch into lookups, so the parent-side warm-up need only
+        # cover jobs that will actually execute.
         cached: Dict[int, JobResult] = {}
         if store is not None:
             for index, job in enumerate(spec.jobs):

@@ -28,7 +28,8 @@ import dataclasses
 import os
 import time
 import traceback
-from typing import Dict, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple)
 
 from ..arch.params import ArchParams
 from ..obs import (
@@ -50,11 +51,15 @@ from ..obs import (
 )
 from .spec import JobResult, JobSpec, digest_of, parse_variant
 
-#: Parent-side pre-warm caches, inherited by fork workers (empty under
+if TYPE_CHECKING:  # the flow stack is imported where a job runs
+    from ..config.bitstream import Bitstream, ProgrammingReport
+    from ..core import Comparison, DesignPoint, FpgaVariant
+    from ..vpr.flow import FlowResult
+
+#: Parent-side pre-warm cache, inherited by fork workers (empty under
 #: spawn, where workers simply recompute).  Keyed so a hit is exactly
 #: the object the worker would have built itself.
 _NETLISTS: Dict[Tuple[str, float], object] = {}
-_PACKED: Dict[Tuple[str, float, ArchParams], object] = {}
 
 
 def _load_netlist(spec: JobSpec):
@@ -76,28 +81,24 @@ def job_arch(spec: JobSpec) -> ArchParams:
 
 
 def prewarm_job(spec: JobSpec) -> None:
-    """Parent-side warm-up: netlist, packing and the FabricIR.
+    """Parent-side warm-up: the netlist and, for fixed W, the FabricIR.
 
-    Fork workers inherit all three (the keyed fabric cache is
-    process-global), so per-job work starts at placement.  Only
-    fixed-width jobs can pre-warm the fabric — a Wmin job's probe
+    Fork workers inherit both (the keyed fabric cache is
+    process-global), so a job's own netlist load and fabric lookup are
+    cache hits; packing, placement and routing still run in the job.
+    Only fixed-width jobs can pre-warm the fabric — a Wmin job's probe
     widths are not known until the search runs.
     """
     from ..fabric import get_fabric
     from ..vpr.pack import pack
-    from ..vpr.place import place
+    from ..vpr.place import placement_grid
 
-    params = job_arch(spec)
     netlist = _load_netlist(spec)
-    packed_key = (spec.circuit, spec.scale, params)
-    clustered = _PACKED.get(packed_key)
-    if clustered is None:
-        clustered = _PACKED[packed_key] = pack(netlist, params)
     if spec.width is not None:
-        # Grid dims come from a placement; seed-independent, so any
-        # seed serves every job of this circuit.
-        placement = place(clustered, seed=spec.seed)
-        get_fabric(params, placement.grid_width, placement.grid_height)
+        # The grid is a pure function of the packing (seed-independent),
+        # so one fabric serves every job of this circuit and width.
+        params = job_arch(spec)
+        get_fabric(params, *placement_grid(pack(netlist, params)))
 
 
 def _routing_digest(routing, channel_width: int) -> str:
@@ -119,15 +120,53 @@ def _bitstream_digest(bitstream) -> str:
     return digest_of(switches)
 
 
-def _variant_for(spec: JobSpec, params: ArchParams):
+def variant_for(name: str, params: ArchParams, downsize: float = 8.0):
+    """The `FpgaVariant` a variant name denotes (see `parse_variant`);
+    ``downsize`` applies to ``nem-opt`` only."""
     from ..core import baseline_variant, naive_nem_variant, optimized_nem_variant
 
-    name, downsize = parse_variant(spec.variant)
     if name == "baseline":
         return baseline_variant(params)
     if name == "nem-naive":
         return naive_nem_variant(params)
     return optimized_nem_variant(params, downsize)
+
+
+class ConfiguredDesign(NamedTuple):
+    """What `configure_and_evaluate` derives from one routed design."""
+
+    bitstream: Bitstream
+    config: ProgrammingReport
+    base: DesignPoint
+    variants: List[Tuple[FpgaVariant, DesignPoint, Comparison]]
+
+
+def configure_and_evaluate(flow: FlowResult, params: ArchParams,
+                           variants: Sequence[FpgaVariant]) -> ConfiguredDesign:
+    """Configure the relay fabric for a routed design, then evaluate it.
+
+    The back half of the paper's Fig. 10 flow, shared by `repro flow`
+    and the batch worker: extract the bitstream and program every
+    tile's crossbar under ``flow.configure``, then evaluate the CMOS
+    baseline at its own f_max and each of ``variants``, in the order
+    given, at the baseline's f_max — all over one shared timing
+    extraction.
+    """
+    from ..config.bitstream import extract_bitstream, program_fabric
+    from ..core import (
+        Comparison, baseline_variant, evaluate_design, shared_evaluation)
+
+    with get_tracer().span("flow.configure", circuit=flow.netlist.name):
+        bitstream = extract_bitstream(flow.routing, flow.graph)
+        config = program_fabric(bitstream)
+    shared = shared_evaluation(flow)
+    base = evaluate_design(flow, baseline_variant(params), **shared)
+    evaluated = []
+    for variant in variants:
+        point = evaluate_design(flow, variant, frequency=base.frequency,
+                                **shared)
+        evaluated.append((variant, point, Comparison.of(base, point)))
+    return ConfiguredDesign(bitstream, config, base, evaluated)
 
 
 def _inject_fault(spec: JobSpec, attempt: int) -> None:
@@ -153,9 +192,6 @@ def _inject_fault(spec: JobSpec, attempt: int) -> None:
 
 
 def _execute(spec: JobSpec, attempt: int) -> JobResult:
-    from ..config.bitstream import extract_bitstream, program_fabric
-    from ..core import (
-        Comparison, baseline_variant, evaluate_design, shared_evaluation)
     from ..vpr.flow import run_flow, run_flow_min_width
 
     _inject_fault(spec, attempt)
@@ -253,24 +289,20 @@ def _execute(spec: JobSpec, attempt: int) -> JobResult:
         # evaluate the clean design (epoch zero), so the bitstream and
         # QoR digests below stay comparable with mission-free jobs.
 
-    with get_tracer().span("flow.configure", circuit=netlist.name):
-        bitstream = extract_bitstream(flow.routing, flow.graph)
-        config = program_fabric(bitstream)
+    name, downsize = parse_variant(spec.variant)
+    design = configure_and_evaluate(
+        flow, params,
+        [] if name == "baseline" else [variant_for(name, params, downsize)])
+    config = design.config
     qor.update(
-        bitstream_switches=bitstream.total_switches,
+        bitstream_switches=design.bitstream.total_switches,
         arrays_programmed=config.arrays_programmed,
         relays_closed=config.relays_closed,
         row_steps=config.row_steps,
         config_success=config.success,
     )
-
-    shared = shared_evaluation(flow)
-    base = evaluate_design(flow, baseline_variant(params), **shared)
-    point = base
-    if spec.variant != "baseline":
-        point = evaluate_design(flow, _variant_for(spec, params),
-                                frequency=base.frequency, **shared)
-        cmp = Comparison.of(base, point)
+    point = design.base
+    for _variant, point, cmp in design.variants:
         qor.update({f"vs_baseline.{k}": v
                     for k, v in dataclasses.asdict(cmp).items()})
     qor.update(
@@ -283,7 +315,7 @@ def _execute(spec: JobSpec, attempt: int) -> JobResult:
 
     digests = {
         "routing_trees": _routing_digest(flow.routing, flow.channel_width),
-        "bitstream": _bitstream_digest(bitstream),
+        "bitstream": _bitstream_digest(design.bitstream),
     }
     digests.update(extra_digests)
     digests["qor"] = digest_of(qor)

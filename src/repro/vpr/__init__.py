@@ -36,7 +36,6 @@ from .timing import (
 from .flow import (
     FlowResult,
     LOW_STRESS_MARGIN,
-    StageCache,
     derive_architecture_width,
     find_min_channel_width,
     low_stress_width,
@@ -76,7 +75,6 @@ __all__ = [
     "estimate_hop_delay",
     "node_delay_costs",
     "run_timing_driven_flow",
-    "StageCache",
     "channel_occupancy",
     "crossing_factor",
     "render_congestion",

@@ -1,10 +1,17 @@
 """End-to-end VPR-like flow driver (paper Fig. 10, left column).
 
 pack -> place -> (binary-search Wmin) -> route at the working channel
-width.  The paper derives its architecture's channel width as Wmin
-over all benchmark circuits plus 20% "low-stress routing" margin
-[Betz 99b]; `find_min_channel_width` and `low_stress_width` reproduce
-that derivation.
+width.  The three drivers — `run_flow` (fixed W), `run_flow_min_width`
+(derived W) and `run_timing_driven_flow` — share one pack -> place
+prologue and differ only in how they route.  The paper derives its
+architecture's channel width as Wmin over all benchmark circuits plus
+20% "low-stress routing" margin [Betz 99b]; `find_min_channel_width`
+and `low_stress_width` reproduce that derivation.
+
+The rest of Fig. 10 — configuring the relay crossbars and comparing
+each NEM variant against the CMOS baseline — is
+`repro.runner.worker.configure_and_evaluate`, shared by `repro flow`
+and the batch worker.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from ..arch.params import ArchParams
 from ..fabric import FabricIR, get_fabric
 from ..netlist.core import Netlist
-from ..obs import get_logger, get_publisher, get_registry, get_tracer, kv
+from ..obs import get_logger, get_publisher, get_tracer, kv
 from .pack import ClusteredNetlist, pack
 from .place import Placement, place
 from .route import PathFinderRouter, RoutingResult, build_route_nets, route_design
@@ -25,61 +32,6 @@ _log = get_logger("vpr.flow")
 
 #: The paper's low-stress margin over Wmin.
 LOW_STRESS_MARGIN = 0.2
-
-
-class StageCache:
-    """Resumable stage boundaries for the flow drivers.
-
-    Holds completed pack/place stage outputs keyed by everything that
-    determines them (netlist object identity, `ArchParams`, seed), so
-    a caller re-entering a flow — probing a second channel width,
-    re-timing a placed design, a `repro serve` worker handling many
-    requests for one circuit — resumes from the last completed
-    boundary instead of recomputing it.  Strictly per-process and
-    keyed by object identity where results are not value-keyed: a hit
-    returns the *same* object the first flow produced, which is
-    exactly what a rerun would have computed (stages are pure
-    functions of their keys).
-
-    LRU-bounded at ``max_entries``.  ``hits``/``misses`` count
-    lookups; the same counts land in the current metrics registry as
-    ``flow.stage_cache.hits`` / ``.misses``.
-    """
-
-    def __init__(self, max_entries: int = 64) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self._data: Dict[Tuple, object] = {}
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def get_or_compute(self, stage: str, key: Tuple, compute):
-        """The cached value for ``(stage, key)``, computing on miss."""
-        full = (stage,) + tuple(key)
-        if full in self._data:
-            self._data[full] = self._data.pop(full)  # bump LRU recency
-            self.hits += 1
-            get_registry().counter("flow.stage_cache.hits").inc()
-            return self._data[full], True
-        self.misses += 1
-        get_registry().counter("flow.stage_cache.misses").inc()
-        value = compute()
-        self._data[full] = value
-        while len(self._data) > self.max_entries:
-            self._data.pop(next(iter(self._data)))
-        return value, False
-
-
-def _staged(stage_cache: Optional[StageCache], stage: str, key: Tuple,
-            compute):
-    """Run ``compute`` through the stage cache when one is given."""
-    if stage_cache is None:
-        return compute(), False
-    return stage_cache.get_or_compute(stage, key, compute)
 
 
 @dataclasses.dataclass
@@ -217,16 +169,29 @@ def find_min_channel_width(
         return hi, best_result, best_graph
 
 
+def _pack_and_place(
+    netlist: Netlist, params: ArchParams, seed: int,
+) -> Tuple[ClusteredNetlist, Placement]:
+    """The flow prologue: pack, then place, each under its span."""
+    tracer = get_tracer()
+    with tracer.span("flow.pack") as span:
+        clustered = pack(netlist, params)
+        span.set_many(luts=netlist.num_luts, clusters=clustered.num_clusters)
+    with tracer.span("flow.place") as span:
+        placement = place(clustered, seed=seed)
+        span.set_many(
+            cost=placement.cost,
+            grid=f"{placement.grid_width}x{placement.grid_height}",
+        )
+    return clustered, placement
+
+
 def run_flow(
     netlist: Netlist,
     params: ArchParams,
     seed: int = 1,
     channel_width: Optional[int] = None,
-    inner_num: float = 1.0,
-    blocked_nodes=None,
-    blocked_edges=None,
     defects=None,
-    stage_cache: Optional[StageCache] = None,
     **router_kwargs,
 ) -> FlowResult:
     """pack -> place -> route at a fixed channel width.
@@ -235,40 +200,15 @@ def run_flow(
     low-stress width from `find_min_channel_width` to mirror the
     paper's methodology exactly.
 
-    Fault-aware routing: ``blocked_nodes`` / ``blocked_edges`` are raw
-    avoidance sets for *this* width's fabric; ``defects`` accepts a
-    `faults.FabricDefectMap` or a provider (`faults.FaultCampaign` /
-    callable) resolved against the concrete fabric — the sets union.
-
-    ``stage_cache`` resumes completed pack/place boundaries from prior
-    flows over the same netlist/params/seed (see `StageCache`); the
-    skipped stage's span is emitted with ``cached=True``.
+    Fault-aware routing: raw ``blocked_nodes`` / ``blocked_edges``
+    avoidance sets for *this* width's fabric reach the router through
+    ``router_kwargs``; ``defects`` accepts a `faults.FabricDefectMap`
+    or a provider (`faults.FaultCampaign` / callable) resolved against
+    the concrete fabric — the sets union.
     """
-    if blocked_nodes:
-        router_kwargs["blocked_nodes"] = blocked_nodes
-    if blocked_edges:
-        router_kwargs["blocked_edges"] = blocked_edges
     tracer = get_tracer()
     with tracer.span("flow.run", circuit=netlist.name, seed=seed) as root:
-        with tracer.span("flow.pack") as span:
-            clustered, hit = _staged(
-                stage_cache, "pack", (id(netlist), params),
-                lambda: pack(netlist, params))
-            span.set_many(
-                luts=netlist.num_luts, clusters=clustered.num_clusters,
-            )
-            if hit:
-                span.set("cached", True)
-        with tracer.span("flow.place") as span:
-            placement, hit = _staged(
-                stage_cache, "place", (id(netlist), params, seed, inner_num),
-                lambda: place(clustered, seed=seed, inner_num=inner_num))
-            span.set_many(
-                cost=placement.cost,
-                grid=f"{placement.grid_width}x{placement.grid_height}",
-            )
-            if hit:
-                span.set("cached", True)
+        clustered, placement = _pack_and_place(netlist, params, seed)
         width = channel_width if channel_width is not None else params.channel_width
         with tracer.span("flow.route", channel_width=width) as span:
             routing, graph = route_design(
@@ -299,10 +239,7 @@ def run_flow_min_width(
     netlist: Netlist,
     params: ArchParams,
     seed: int = 1,
-    inner_num: float = 1.0,
-    low_stress: bool = True,
     defects=None,
-    stage_cache: Optional[StageCache] = None,
     **router_kwargs,
 ) -> FlowResult:
     """pack -> place -> Wmin search -> route at the derived width.
@@ -310,42 +247,25 @@ def run_flow_min_width(
     The job-level entry point for width-deriving runs (the batch
     runner's ``width=None`` jobs and the paper's W methodology): packs
     and places once, binary-searches Wmin on that placement, then
-    returns the routing at ``low_stress_width(wmin)`` (or at Wmin
-    itself when ``low_stress`` is False — the search already routed
-    there, so that arm is free).  ``stage_cache`` resumes pack/place
-    boundaries, as in `run_flow`.
+    returns the routing at ``low_stress_width(wmin)``.
     """
     tracer = get_tracer()
     with tracer.span("flow.run_min_width", circuit=netlist.name, seed=seed) as root:
-        with tracer.span("flow.pack") as span:
-            clustered, hit = _staged(
-                stage_cache, "pack", (id(netlist), params),
-                lambda: pack(netlist, params))
-            span.set_many(luts=netlist.num_luts, clusters=clustered.num_clusters)
-            if hit:
-                span.set("cached", True)
-        with tracer.span("flow.place") as span:
-            placement, hit = _staged(
-                stage_cache, "place", (id(netlist), params, seed, inner_num),
-                lambda: place(clustered, seed=seed, inner_num=inner_num))
-            span.set("cost", placement.cost)
-            if hit:
-                span.set("cached", True)
-        wmin, routing, graph = find_min_channel_width(
+        clustered, placement = _pack_and_place(netlist, params, seed)
+        wmin, _routing, _graph = find_min_channel_width(
             placement, params, defects=defects, **router_kwargs
         )
-        width = low_stress_width(wmin) if low_stress else wmin
-        if width != wmin:
-            with tracer.span("flow.route", channel_width=width) as span:
-                routing, graph = route_design(
-                    placement, params, channel_width=width, defects=defects,
-                    **router_kwargs
-                )
-                span.set_many(
-                    success=routing.success,
-                    iterations=routing.iterations,
-                    wirelength=routing.wirelength,
-                )
+        width = low_stress_width(wmin)
+        with tracer.span("flow.route", channel_width=width) as span:
+            routing, graph = route_design(
+                placement, params, channel_width=width, defects=defects,
+                **router_kwargs
+            )
+            span.set_many(
+                success=routing.success,
+                iterations=routing.iterations,
+                wirelength=routing.wirelength,
+            )
         root.set_many(wmin=wmin, channel_width=width, success=routing.success)
         _log.info("min-width flow done %s", kv(
             circuit=netlist.name, wmin=wmin, width=width, success=routing.success))
@@ -365,12 +285,8 @@ def run_timing_driven_flow(
     fabric,
     seed: int = 1,
     channel_width: Optional[int] = None,
-    inner_num: float = 1.0,
     sta_passes: int = 2,
-    blocked_nodes=None,
-    blocked_edges=None,
     defects=None,
-    stage_cache: Optional[StageCache] = None,
     **router_kwargs,
 ):
     """Timing-driven pack/place/route (VPR-style criticality loop).
@@ -383,9 +299,10 @@ def run_timing_driven_flow(
         fabric: `FabricElectrical` supplying the delay model (the
             variant the design will be timed against).
         sta_passes: Criticality refinement iterations.
-        blocked_nodes / blocked_edges / defects: Fault-aware routing,
-            same semantics as `run_flow` — every STA re-route pass
-            avoids the same defective resources.
+        defects: Fault-aware routing, same semantics as `run_flow`
+            (as are raw ``blocked_nodes`` / ``blocked_edges`` in
+            ``router_kwargs``) — every STA re-route pass avoids the
+            same defective resources.
 
     Returns:
         (FlowResult, TimingReport) for the best routing found.
@@ -393,31 +310,13 @@ def run_timing_driven_flow(
     from .route import merge_defect_kwargs
     from .timing import analyze_timing, node_delay_costs
 
-    if blocked_nodes:
-        router_kwargs["blocked_nodes"] = blocked_nodes
-    if blocked_edges:
-        router_kwargs["blocked_edges"] = blocked_edges
-
     if sta_passes < 0:
         raise ValueError(f"sta_passes must be >= 0, got {sta_passes}")
     tracer = get_tracer()
     with tracer.span(
         "flow.timing_driven", circuit=netlist.name, seed=seed, sta_passes=sta_passes
     ) as root:
-        with tracer.span("flow.pack") as span:
-            clustered, hit = _staged(
-                stage_cache, "pack", (id(netlist), params),
-                lambda: pack(netlist, params))
-            span.set_many(luts=netlist.num_luts, clusters=clustered.num_clusters)
-            if hit:
-                span.set("cached", True)
-        with tracer.span("flow.place") as span:
-            placement, hit = _staged(
-                stage_cache, "place", (id(netlist), params, seed, inner_num),
-                lambda: place(clustered, seed=seed, inner_num=inner_num))
-            span.set("cost", placement.cost)
-            if hit:
-                span.set("cached", True)
+        clustered, placement = _pack_and_place(netlist, params, seed)
         width = channel_width if channel_width is not None else params.channel_width
         arch = params.with_channel_width(width)
         graph = get_fabric(arch, placement.grid_width, placement.grid_height)
@@ -466,7 +365,6 @@ def derive_architecture_width(
     netlists: Sequence[Netlist],
     params: ArchParams,
     seed: int = 1,
-    inner_num: float = 1.0,
     **router_kwargs,
 ) -> Dict[str, object]:
     """The paper's W derivation over a benchmark suite.
@@ -481,7 +379,7 @@ def derive_architecture_width(
         for netlist in netlists:
             with tracer.span("flow.circuit_wmin", circuit=netlist.name) as circuit_span:
                 clustered = pack(netlist, params)
-                placement = place(clustered, seed=seed, inner_num=inner_num)
+                placement = place(clustered, seed=seed)
                 wmin, _result, _graph = find_min_channel_width(
                     placement, params, **router_kwargs
                 )

@@ -415,6 +415,26 @@ class _Annealer:
         }
 
 
+def placement_grid(
+    clustered: ClusteredNetlist, grid_side: Optional[int] = None,
+) -> Tuple[int, int]:
+    """(width, height) of the grid `place` anneals on, I/O ring included.
+
+    ``grid_side`` is the interior (logic) side; by default the minimal
+    square that fits the clusters and whose perimeter fits the I/Os.
+    A pure function of the packing, so a caller that needs only the
+    grid (the batch runner pre-building a fabric) need not anneal.
+    """
+    side = grid_side
+    if side is None:
+        n_logic = clustered.num_clusters
+        n_io = len(clustered.netlist.inputs) + len(clustered.netlist.outputs)
+        side = 1
+        while side * side < n_logic or (4 * (side + 2) - 4) * IO_CAPACITY < n_io:
+            side += 1
+    return side + 2, side + 2
+
+
 def place(
     clustered: ClusteredNetlist,
     seed: int = 1,
@@ -444,14 +464,7 @@ def place(
     for po in netlist.outputs:
         blocks[po.name] = PlacementBlock(name=po.name, kind="po")
 
-    n_logic = clustered.num_clusters
-    n_io = len(netlist.inputs) + len(netlist.outputs)
-    side = grid_side
-    if side is None:
-        side = 1
-        while side * side < n_logic or (4 * (side + 2) - 4) * IO_CAPACITY < n_io:
-            side += 1
-    grid_w = grid_h = side + 2
+    grid_w, grid_h = placement_grid(clustered, grid_side)
 
     rng = random.Random(seed)
     nets = _flat_nets(clustered)

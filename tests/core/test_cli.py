@@ -30,6 +30,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["headline", "--suite", "nope"])
 
+    @pytest.mark.parametrize("option", [
+        ["--store", "results"],
+        ["--store-max-bytes", "1000"],
+        ["--store-max-entries", "10"],
+        ["--variant", "nem-opt"],
+        ["--timeout", "60"],
+    ])
+    def test_flow_has_no_store_mode(self, capsys, option):
+        """A store-backed job is `repro batch ... --store DIR`."""
+        with pytest.raises(SystemExit) as exc:
+            main(["flow", "--circuit", "tseng", *option])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestExecution:
     def test_device_runs(self, capsys):

@@ -1,8 +1,8 @@
 """Self-created shard directories never outlive their run.
 
-`run_batch`, `run_single_job` (``repro flow --store``) and `repro
-serve` each write per-job result and shard files; when the caller did
-not name a directory for them, nothing may be left in the temp dir.
+`run_batch`, `run_single_job` and `repro serve` (which dispatches
+through it) each write per-job result and shard files; when the caller
+did not name a directory for them, nothing may be left in the temp dir.
 """
 
 import asyncio

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.vpr.place import IO_CAPACITY, crossing_factor, place
+from repro.vpr.place import IO_CAPACITY, crossing_factor, place, placement_grid
 
 from .conftest import ARCH
 
@@ -89,3 +89,9 @@ class TestPlacement:
     def test_grid_fits_demand(self, clustered, placement):
         interior = (placement.grid_width - 2) * (placement.grid_height - 2)
         assert interior >= clustered.num_clusters
+
+    def test_placement_grid_is_the_annealed_grid(self, clustered, placement):
+        """The grid is known from the packing alone, before annealing."""
+        assert placement_grid(clustered) == (placement.grid_width,
+                                             placement.grid_height)
+        assert placement_grid(clustered, grid_side=9) == (11, 11)
