@@ -104,24 +104,17 @@ def extract_bitstream(routing: RoutingResult, graph: FabricIR) -> Bitstream:
     edges sorted.
     """
     ir = as_fabric(graph)
-    names = list(routing.trees)
-    nodes: List[int] = []
-    parents: List[int] = []
-    counts: List[int] = []
-    for tree in routing.trees.values():
-        nodes.extend(tree.parent)
-        parents.extend(tree.parent.values())
-        counts.append(len(tree.parent))
-    u = np.array(parents, dtype=np.int64)
-    v = np.array(nodes, dtype=np.int64)
+    trees = routing.trees
+    names = trees.names
+    u = trees.column("parents").astype(np.int64)
+    v = trees.column("nodes").astype(np.int64)
     keep = np.flatnonzero(u >= 0)
     keep = keep[_classify_edges(ir.kind, u[keep], v[keep]) != SwitchKind.NONE]
     u, v = u[keep], v[keep]
-    net = np.repeat(np.arange(len(names)), counts)[keep]
-    # One tuple per conducting edge, over the trees' own int objects,
-    # shared by both maps: a bitstream costs no more memory than the
-    # per-edge walk's did.
-    edges = [(parents[i], nodes[i]) for i in keep.tolist()]
+    net = trees.net_index()[keep]
+    # One tuple per conducting edge, shared by both maps: a bitstream
+    # costs no more memory than the per-edge walk's did.
+    edges = list(zip(u.tolist(), v.tolist()))
     net_of_edge: Dict[Edge, str] = dict(
         zip(edges, [names[i] for i in net.tolist()]))
 

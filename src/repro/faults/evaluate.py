@@ -36,14 +36,8 @@ _log = get_logger("faults.evaluate")
 
 def routing_digest(routing, channel_width: int) -> str:
     """Stable digest of a routing's trees (batch-runner compatible)."""
-    trees = {
-        name: {
-            "parent": sorted((int(k), int(v)) for k, v in tree.parent.items()),
-            "sinks": sorted(int(s) for s in tree.sink_nodes),
-        }
-        for name, tree in routing.trees.items()
-    }
-    return canonical_digest({"channel_width": channel_width, "trees": trees})
+    return canonical_digest({"channel_width": channel_width,
+                             "trees": routing.trees.canonical()})
 
 
 @dataclasses.dataclass(frozen=True)

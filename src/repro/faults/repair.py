@@ -59,18 +59,19 @@ def find_victims(
     or a wire bridged by a stuck-closed relay) or crosses a blocked
     directed edge (a stuck-open relay it needs conducting).
     """
-    blocked_nodes = defects.blocked_nodes()
-    blocked_edges = defects.blocked_edges()
-    victims = []
-    for name, tree in routing.trees.items():
-        if blocked_nodes and not blocked_nodes.isdisjoint(tree.nodes):
-            victims.append(name)
-        elif blocked_edges and not blocked_edges.isdisjoint(
-            zip(tree.parent.values(), tree.parent)
-        ):
-            # The root's (-1, source) pair can never be a blocked edge.
-            victims.append(name)
-    return sorted(victims)
+    trees = routing.trees
+    listed, lengths = trees.listed_nodes()
+    on_node = np.isin(listed, np.fromiter(defects.blocked_nodes(), dtype=np.int64))
+    hit = set(np.repeat(np.arange(len(trees)), lengths)[on_node].tolist())
+    edges = defects.blocked_edges()
+    if edges:
+        # (parent, node) hops as one int64 each; the root's (-1,
+        # source) pair can never match a blocked edge.
+        hops = (trees.column("parents").astype(np.int64) << 32
+                | trees.column("nodes"))
+        blocked = np.array([u << 32 | v for u, v in edges], dtype=np.int64)
+        hit.update(trees.net_index()[np.isin(hops, blocked)].tolist())
+    return sorted(trees.names[i] for i in hit)
 
 
 @dataclasses.dataclass(frozen=True)

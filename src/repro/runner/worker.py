@@ -102,14 +102,8 @@ def prewarm_job(spec: JobSpec) -> None:
 
 
 def _routing_digest(routing, channel_width: int) -> str:
-    trees = {
-        name: {
-            "parent": sorted((int(k), int(v)) for k, v in tree.parent.items()),
-            "sinks": sorted(int(s) for s in tree.sink_nodes),
-        }
-        for name, tree in routing.trees.items()
-    }
-    return digest_of({"channel_width": channel_width, "trees": trees})
+    return digest_of({"channel_width": channel_width,
+                      "trees": routing.trees.canonical()})
 
 
 def _bitstream_digest(bitstream) -> str:

@@ -12,10 +12,10 @@ classic algorithm [McMurchie-Ebeling / Betz 99]:
 * iteration ends when no node is shared by two nets (legal routing)
   or the iteration limit is hit (unroutable at this channel width).
 
-The inner expansion/cost loop lives in the vectorised numpy kernel
-(`repro.vpr.route_kernels`); the pure-Python reference walk it is
-proven bit-identical against runs only when forced, as the tests'
-oracle and the kernel bench's baseline.
+The inner expansion/cost loop lives in a route kernel
+(`repro.vpr.route_kernels`): the compiled C walk, or its numpy
+fallback when no C compiler is available.  A result keeps its trees
+packed in flat int32 arrays (`PackedTrees`).
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from __future__ import annotations
 import dataclasses
 import random
 import threading
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from array import array
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -38,25 +39,28 @@ from ..fabric import (
 from ..netlist.core import BlockType
 from ..obs import get_logger, get_publisher, get_registry, get_tracer, kv
 from .place import Placement
-from .route_kernels import make_kernel, resolve_kernel
+from .route_kernels import make_kernel
 
 _log = get_logger("vpr.route")
 
-#: Deterministic tie-break jitter, cached per node count: it depends
-#: only on ``n``, so routers sharing a FabricIR (or probing equal-size
-#: graphs) skip regenerating it.  Lock-guarded: serve's thread-pool
+#: Deterministic tie-break jitter: every node count draws a prefix of
+#: one ``random.Random(0xF9A4)`` stream, so one float64 array, grown
+#: on demand, serves every graph.  Lock-guarded: serve's thread-pool
 #: workers construct routers concurrently.
-_JITTER_CACHE: Dict[int, List[float]] = {}
+_JITTER = np.empty(0)
+_JITTER_RNG = random.Random(0xF9A4)
 _JITTER_LOCK = threading.Lock()
 
 
-def _jitter_for(n: int) -> List[float]:
+def _jitter_for(n: int) -> np.ndarray:
+    """The first ``n`` jitter factors (a read-only view)."""
+    global _JITTER
     with _JITTER_LOCK:
-        cached = _JITTER_CACHE.get(n)
-        if cached is None:
-            rng = random.Random(0xF9A4)
-            cached = _JITTER_CACHE[n] = [1.0 + 0.03 * rng.random() for _ in range(n)]
-        return cached
+        if len(_JITTER) < n:
+            more = [1.0 + 0.03 * _JITTER_RNG.random() for _ in range(n - len(_JITTER))]
+            _JITTER = np.concatenate([_JITTER, more])
+            _JITTER.flags.writeable = False
+        return _JITTER[:n]
 
 
 @dataclasses.dataclass
@@ -81,6 +85,97 @@ class RouteTree:
     nodes: List[int]
     parent: Dict[int, int]
     sink_nodes: List[int]
+
+
+class PackedTrees(Mapping[str, RouteTree]):
+    """Net name -> `RouteTree`, held as flat ``array('i')`` columns.
+
+    Each net's nodes are stored in its ``parent`` insertion order, with
+    their parent node ids (-1 at the root): ``nodes[node_offsets[i]:
+    node_offsets[i + 1]]`` are net ``names[i]``'s, and likewise its
+    sinks in ``sinks``.  A tree whose ``nodes`` list is in another
+    order keeps that order in ``orders`` (routed trees never do).
+    ``trees[name]`` builds an equal `RouteTree` on every access and
+    keeps none, so a result holds about 8 bytes per tree node; array
+    consumers read the columns directly.
+    """
+
+    _COLUMNS = ("names", "node_offsets", "nodes", "parents", "sink_offsets",
+                "sinks", "orders")
+    __slots__ = _COLUMNS + ("_index",)
+
+    def __init__(self, trees: Mapping[str, RouteTree]) -> None:
+        self.names: Tuple[str, ...] = tuple(trees)
+        self.node_offsets, self.nodes, self.parents = array("i", [0]), array("i"), array("i")
+        self.sink_offsets, self.sinks = array("i", [0]), array("i")
+        self.orders: Dict[int, array] = {}
+        self._index: Optional[Dict[str, int]] = None
+        for i, tree in enumerate(trees.values()):
+            self.nodes.extend(tree.parent)
+            self.parents.extend(tree.parent.values())
+            self.node_offsets.append(len(self.nodes))
+            self.sinks.extend(tree.sink_nodes)
+            self.sink_offsets.append(len(self.sinks))
+            if tree.nodes != list(tree.parent):
+                self.orders[i] = array("i", tree.nodes)
+
+    def net_index(self) -> np.ndarray:
+        """The position in ``names`` of each entry of ``nodes``."""
+        return np.repeat(np.arange(len(self.names)), np.diff(self.column("node_offsets")))
+
+    def column(self, name: str) -> np.ndarray:
+        """One int32 column (``nodes``, ``parents``, ``sinks``, or an
+        offsets column) as a read-only numpy view."""
+        return np.frombuffer(getattr(self, name), dtype=np.intc)
+
+    def listed_nodes(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every tree's ``nodes`` list, concatenated in ``names``
+        order, and each list's length."""
+        if not self.orders:
+            return self.column("nodes"), np.diff(self.column("node_offsets"))
+        lists = [self[name].nodes for name in self.names]
+        return (np.array([n for nodes in lists for n in nodes], dtype=np.intc),
+                np.array([len(nodes) for nodes in lists], dtype=np.intc))
+
+    def canonical(self) -> Dict[str, Dict[str, list]]:
+        """Net name -> its sorted ``(node, parent)`` pairs and sorted
+        sinks: the order-free form the routing digests hash."""
+        no, so = self.node_offsets, self.sink_offsets
+        return {name: {"parent": sorted(zip(self.nodes[no[i]:no[i + 1]],
+                                            self.parents[no[i]:no[i + 1]])),
+                       "sinks": sorted(self.sinks[so[i]:so[i + 1]])}
+                for i, name in enumerate(self.names)}
+
+    def _positions(self) -> Dict[str, int]:
+        if self._index is None:
+            self._index = {n: i for i, n in enumerate(self.names)}
+        return self._index
+
+    def __getitem__(self, name: str) -> RouteTree:
+        i = self._positions()[name]
+        a, b = self.node_offsets[i], self.node_offsets[i + 1]
+        nodes = self.nodes[a:b].tolist()
+        order = self.orders.get(i)
+        return RouteTree(
+            nodes=nodes if order is None else order.tolist(),
+            parent=dict(zip(nodes, self.parents[a:b])),
+            sink_nodes=self.sinks[self.sink_offsets[i]:self.sink_offsets[i + 1]].tolist())
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.names)
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._positions()
+
+    def __eq__(self, other: object) -> bool:
+        # Equal columns are equal trees; otherwise compare as mappings.
+        if isinstance(other, PackedTrees) and all(
+                getattr(self, k) == getattr(other, k) for k in self._COLUMNS):
+            return True
+        return super().__eq__(other)
 
 
 @dataclasses.dataclass
@@ -109,7 +204,8 @@ class RoutingResult:
     Attributes:
         success: True when fully legal (no overuse).
         iterations: PathFinder iterations used.
-        trees: Net name -> route tree (present even on failure).
+        trees: Net name -> route tree (present even on failure); a
+            read-only `PackedTrees`, into which a passed dict is packed.
         overused_nodes: Count of still-overused nodes (0 on success).
         wirelength: Total wire-segment tiles used by all routes.
         convergence: Per-iteration telemetry series (always recorded;
@@ -119,10 +215,14 @@ class RoutingResult:
 
     success: bool
     iterations: int
-    trees: Dict[str, RouteTree]
+    trees: Mapping[str, RouteTree]
     overused_nodes: int
     wirelength: int
     convergence: List[RouterIteration] = dataclasses.field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.trees, PackedTrees):
+            self.trees = PackedTrees(self.trees)
 
 
 def build_route_nets(placement: Placement) -> List[RouteNet]:
@@ -166,13 +266,14 @@ class PathFinderRouter:
         hist_fac: History cost accumulation factor.
         max_iterations: Give up after this many rip-up passes.
         astar_fac: A* lookahead aggressiveness (1.0 = admissible).
-        kernel: Expansion kernel — None runs numpy (see
-            `repro.vpr.route_kernels.resolve_kernel`); ``"python"`` /
-            ``"numpy"`` force one, which the differential harness and
-            the kernel bench do.  Kernels are bit-identical by
-            contract, so this only affects speed — never results,
-            digests or cache keys.  The resolved name is exposed as
-            ``self.kernel``.
+        kernel: Expansion kernel — None or ``"c"`` runs the compiled
+            walk, or the numpy walk when it cannot be built (see
+            `repro.vpr.route_kernels.resolve_kernel`); ``"numpy"``
+            forces the fallback, and a `RouteKernel` class (the
+            tests' reference oracle) runs as given.  Kernels are
+            bit-identical by contract, so this only affects speed —
+            never results, digests or cache keys.  The name of the
+            walk that runs is exposed as ``self.kernel``.
     """
 
     def __init__(
@@ -224,8 +325,8 @@ class PathFinderRouter:
         self._pin_groups: Optional[Dict[Tuple[int, int, int], List[int]]] = None
         # The expansion kernel owns the mutable per-node state
         # (occupancy / history / static costs) and the search loop.
-        self.kernel = resolve_kernel(kernel)
-        self._kernel = make_kernel(self.kernel, self)
+        self._kernel = make_kernel(kernel, self)
+        self.kernel = self._kernel.name
 
     # -- kernel delegation --------------------------------------------------
 
@@ -273,7 +374,7 @@ class PathFinderRouter:
         self,
         nets: Sequence[RouteNet],
         criticality: Optional[Dict[str, float]] = None,
-        fixed_trees: Optional[Dict[str, RouteTree]] = None,
+        fixed_trees: Optional[Mapping[str, RouteTree]] = None,
     ) -> RoutingResult:
         """Route all nets; returns success iff fully legal.
 
@@ -332,7 +433,7 @@ class PathFinderRouter:
         self,
         nets: Sequence[RouteNet],
         criticality: Optional[Dict[str, float]] = None,
-        fixed_trees: Optional[Dict[str, RouteTree]] = None,
+        fixed_trees: Optional[Mapping[str, RouteTree]] = None,
     ) -> RoutingResult:
         if fixed_trees:
             overlap = {net.name for net in nets} & set(fixed_trees)
@@ -342,8 +443,9 @@ class PathFinderRouter:
             # Pin the healthy nets' resources before the first pass;
             # their occupancy never drops, so victims negotiate around
             # them exactly as against any other net they cannot evict.
-            for tree in fixed_trees.values():
-                self._occupy(tree, +1)
+            if not isinstance(fixed_trees, PackedTrees):
+                fixed_trees = PackedTrees(fixed_trees)
+            self._kernel.pin(fixed_trees.listed_nodes()[0])
         crit_of = criticality or {}
         # Hoisted out of the iteration loop: the disabled (null) path
         # costs one attribute check per iteration, nothing more.

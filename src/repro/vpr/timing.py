@@ -31,7 +31,7 @@ from ..fabric import (
 from ..netlist.core import BlockType
 from ..obs import get_registry, get_tracer
 from .place import Placement
-from .route import RouteTree, RoutingResult
+from .route import PackedTrees, RouteTree, RoutingResult
 
 
 @dataclasses.dataclass(frozen=True)
@@ -231,34 +231,36 @@ class _RoutedNets:
     """
 
     def __init__(self, trees: Mapping[str, RouteTree], ir: FabricIR) -> None:
-        self.names = list(trees)
-        nodes: List[int] = []
+        if not isinstance(trees, PackedTrees):
+            trees = PackedTrees(trees)
+        self.names = list(trees.names)
+        nodes, parents, sinks = trees.nodes.tolist(), trees.parents.tolist(), trees.sinks
+        no, so = trees.node_offsets, trees.sink_offsets
         ups: List[int] = []
-        sinks: List[int] = []
+        flat_sinks: List[int] = []
         self.tiles: List[List[Tuple[int, int]]] = []
         #: Net name -> sink tile -> flat node index of the sink that
         #: sets the tile's delay (the last one reaching it).
         self.sink_of: Dict[str, Dict[Tuple[int, int], int]] = {}
-        for name, tree in trees.items():
-            pos = {node: len(nodes) + i for i, node in enumerate(tree.parent)}
-            nodes.extend(tree.parent)
-            ups.extend(pos.get(up, -1) for up in tree.parent.values())
-            net_sinks = [pos[sink] for sink in tree.sink_nodes]
-            tiles = [(int(ir.xs[s]), int(ir.ys[s])) for s in tree.sink_nodes]
-            sinks.extend(net_sinks)
+        for i, name in enumerate(self.names):
+            pos = {node: no[i] + k for k, node in enumerate(nodes[no[i]:no[i + 1]])}
+            ups.extend(pos.get(up, -1) for up in parents[no[i]:no[i + 1]])
+            net_sinks = [pos[sink] for sink in sinks[so[i]:so[i + 1]]]
+            tiles = [(int(ir.xs[s]), int(ir.ys[s])) for s in sinks[so[i]:so[i + 1]]]
+            flat_sinks.extend(net_sinks)
             self.tiles.append(tiles)
             self.sink_of[name] = dict(zip(tiles, net_sinks))
-        self.sink_bounds = np.cumsum([0] + [len(t) for t in self.tiles]).tolist()
-        self.sinks = np.array(sinks, dtype=np.int64)
+        self.sink_bounds = so.tolist()
+        self.sinks = np.array(flat_sinks, dtype=np.int64)
         self.ups = np.array(ups, dtype=np.int64)
-        node_ids = np.array(nodes, dtype=np.int64)
+        node_ids = trees.column("nodes").astype(np.int64)
         code = _stage_codes(ir.kind[node_ids])
         self.wire = code == _WIRE
         self.ipin = code == _IPIN
         self.frac = np.where(
             self.wire, ir.spans[node_ids].astype(np.float64) / ir.params.segment_length, 0.0)
         has_up = self.ups >= 0
-        self.from_wire = np.zeros(len(nodes), dtype=bool)
+        self.from_wire = np.zeros(len(node_ids), dtype=bool)
         self.from_wire[has_up] = self.wire[self.ups[has_up]]
 
         # Each node's children codes, in insertion order, one row per node.
@@ -267,7 +269,7 @@ class _RoutedNets:
         up = self.ups[child]
         first = np.flatnonzero(np.r_[True, up[1:] != up[:-1]])
         rank = np.arange(len(up)) - np.repeat(first, np.diff(np.r_[first, len(up)]))
-        self.tail = np.zeros((len(nodes), max(1, int(rank.max(initial=0)) + 1)), dtype=np.int8)
+        self.tail = np.zeros((len(node_ids), max(1, int(rank.max(initial=0)) + 1)), dtype=np.int8)
         self.tail[up, rank] = code[child]
 
         # Topological levels, whatever the insertion order: a root
@@ -283,8 +285,7 @@ class _RoutedNets:
         self.levels = np.split(by_depth, cuts)[1:-1]
 
         # Switched-capacitance rows in `tree.nodes` order.
-        lengths = np.array([len(t.nodes) for t in trees.values()], dtype=np.int64)
-        flat = np.array([n for t in trees.values() for n in t.nodes], dtype=np.int64)
+        flat, lengths = trees.listed_nodes()
         rows = np.repeat(np.arange(len(lengths)), lengths)
         cols = np.arange(len(flat)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         width = max(1, int(lengths.max(initial=0)))

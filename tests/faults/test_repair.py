@@ -99,8 +99,10 @@ class TestIncrementalStage:
 
     def test_untouched_trees_byte_identical(self, placement, routed, one_victim):
         """The acceptance criterion: healthy nets' routing trees are
-        returned unchanged — same object, same bytes — so their fabric
-        tiles are never reprogrammed."""
+        returned unchanged — same nodes, same parent pointers in the
+        same order — so their fabric tiles are never reprogrammed.
+        (Results keep trees packed, so each access builds a fresh
+        `RouteTree`: equality, not identity.)"""
         routing, fabric = routed
         name, _site, defects = one_victim
         result = repair_routing(placement, routing, defects, graph=fabric)
@@ -108,8 +110,9 @@ class TestIncrementalStage:
         for other, tree in routing.trees.items():
             if other == name:
                 continue
-            assert result.routing.trees[other] is tree
-            assert result.routing.trees[other].parent == tree.parent
+            assert result.routing.trees[other] == tree
+            assert (list(result.routing.trees[other].parent.items())
+                    == list(tree.parent.items()))
 
     def test_victim_avoids_fault(self, placement, routed, one_victim):
         routing, fabric = routed

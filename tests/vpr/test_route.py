@@ -8,6 +8,7 @@ from repro.fabric import KIND_OPIN
 from repro.vpr.route import route_design
 
 from .conftest import ARCH
+from .reference_kernel import PythonKernel
 
 
 class TestBuildRouteNets:
@@ -115,7 +116,7 @@ class TestFabricHoldsNoListViews:
     `FlowResult.graph`), so routing must leave no list form on it:
     each kernel builds the forms it uses for itself."""
 
-    @pytest.mark.parametrize("kernel", ["python", "numpy"])
+    @pytest.mark.parametrize("kernel", [PythonKernel, "c", "numpy"])
     def test_route_design_leaves_no_list(self, placement, monkeypatch, kernel):
         import repro.vpr.route as route_mod
         from repro.fabric import FabricIR

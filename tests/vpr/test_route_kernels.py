@@ -1,31 +1,34 @@
 """Differential harness: the routing kernels are bit-identical.
 
-The vectorised kernel (`repro.vpr.route_kernels.NumpyKernel`)
-promises byte-identical `RoutingResult`s to the reference Python walk
-— same trees, same parent pointers, same iteration trace, same
-failures.  That contract
-is what lets the kernel stay *execution policy* (never part of store
-cache keys or artefact digests), so it is enforced here, not assumed:
+The compiled walk (`repro.vpr.route_kernels.CompiledKernel`) and its
+numpy fallback (`NumpyKernel`) promise byte-identical `RoutingResult`s
+to the reference Python walk (`reference_kernel.PythonKernel`) — same
+trees, same parent pointers, same iteration trace, same failures.
+That contract is what lets the kernel stay *execution policy* (never
+part of store cache keys or artefact digests), so it is enforced here,
+not assumed; every case runs both fast walks against the oracle:
 
 * a (directionality x width x circuit x seed) differential grid,
 * a routing-*failure* case (both kernels must fail identically —
   same overused count, same convergence trace),
 * defect cases (blocked nodes, blocked directed edges, blocked
   wire->IPIN taps),
-* the numpy kernel's lazily built per-tile IPIN tables against the
-  eager build they replaced,
+* the kernels' tile-sorted wire->IPIN index against the eager
+  per-tile tables it replaced,
 * timing-driven costs, pinned ``fixed_trees`` (incremental repair),
   stalled negotiations that escalate to sink-order shuffles, and a
   whole channel-width search,
 * a hypothesis property suite over generated netlists.
 
-Kernel *selection* (`resolve_kernel`: an explicit kernel, else numpy
-at every graph size) and the router's lifetime (no router <-> kernel
+Kernel *selection* (`resolve_kernel`: the compiled walk unless it
+cannot be built, the numpy walk when forced or as the fallback), the
+walk's build cache, and the router's lifetime (no router <-> kernel
 reference cycle) are tested alongside.
 """
 
 import dataclasses
 import gc
+import os
 import random
 import weakref
 
@@ -47,10 +50,25 @@ from repro.vpr.route import (
     feeds_into,
     route_design,
 )
-from repro.vpr.route_kernels import KERNELS, make_kernel, resolve_kernel
+from repro.vpr import route_kernels
+from repro.vpr.route_kernels import (
+    KERNELS,
+    CompiledKernel,
+    NumpyKernel,
+    compiled_walk,
+    make_kernel,
+    resolve_kernel,
+)
 from repro.vpr.timing import node_delay_costs
 
 from .conftest import ARCH
+from .reference_kernel import PythonKernel
+
+#: The walk None / "c" resolves to here: the compiled one unless the C
+#: compiler is missing (CI also runs this file with ``CC=/nonexistent``).
+DEFAULT_KERNEL = CompiledKernel if compiled_walk() is not None else NumpyKernel
+#: Every kernel the differential cases run, the oracle first.
+ALL_KERNELS = (PythonKernel, "c", "numpy")
 
 
 def fingerprint(result):
@@ -66,11 +84,20 @@ def placed_circuit(name, num_luts, seed, arch, place_seed):
     return place(clustered, seed=place_seed)
 
 
-def route_pair(placement, arch, reference="python", other="numpy", **router_kwargs):
-    """Route the same design with two kernels; return both results."""
-    a, _ = route_design(placement, arch, kernel=reference, **router_kwargs)
-    b, _ = route_design(placement, arch, kernel=other, **router_kwargs)
-    return a, b
+def assert_same(ref, *others):
+    for other in others:
+        assert fingerprint(other) == fingerprint(ref)
+
+
+def route_pair(placement, arch, **router_kwargs):
+    """Route the same design with the reference and both fast walks;
+    return the reference's result and the compiled walk's, after
+    checking that the numpy walk's equals the compiled walk's."""
+    ref, vec, fallback = (
+        route_design(placement, arch, kernel=k, **router_kwargs)[0]
+        for k in ALL_KERNELS)
+    assert fingerprint(fallback) == fingerprint(vec)
+    return ref, vec
 
 
 #: (directionality, W, num_luts, netlist seed, placement seed) — small
@@ -88,7 +115,7 @@ class TestDifferentialGrid:
     @pytest.mark.parametrize(
         "directionality,width,num_luts,seed,place_seed", GRID,
         ids=[f"{d}-W{w}-n{n}-s{s}" for d, w, n, s, _ in GRID])
-    def test_numpy_matches_reference(
+    def test_fast_walks_match_reference(
             self, directionality, width, num_luts, seed, place_seed):
         arch = ArchParams(channel_width=width, directionality=directionality)
         placement = placed_circuit(
@@ -137,13 +164,26 @@ class TestDifferentialGrid:
                 assert (parent, node) not in set(blocked)
         assert fingerprint(vec) == fingerprint(ref)
 
-    def test_counters_advance(self, placement):
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_counters_advance(self, placement, kernel):
         graph = get_fabric(ARCH, placement.grid_width, placement.grid_height)
-        router = PathFinderRouter(graph, kernel="numpy")
+        router = PathFinderRouter(graph, kernel=kernel)
         result = router.route(build_route_nets(placement))
         assert result.success
         assert router._kernel.heap_pops > 0
         assert router._kernel.heap_pushes >= router._kernel.heap_pops
+
+    def test_walks_count_the_same_heap_ops(self, placement):
+        """The compiled walk pops and pushes exactly what the numpy
+        walk does (the same search, run elsewhere)."""
+        graph = get_fabric(ARCH, placement.grid_width, placement.grid_height)
+        nets = build_route_nets(placement)
+        counts = []
+        for kernel in KERNELS:
+            router = PathFinderRouter(graph, kernel=kernel)
+            router.route(nets)
+            counts.append((router._kernel.heap_pops, router._kernel.heap_pushes))
+        assert counts[0] == counts[1]
 
 
 #: (num_luts, netlist seed, placement seed, W) whose negotiation
@@ -163,12 +203,12 @@ class TestRouterPaths:
         # Spread over [0, 1], including 0 (pure congestion) and 1
         # (clamped to 0.99).
         criticality = {net.name: (i % 7) / 6 for i, net in enumerate(nets)}
-        ref, vec = (
+        ref, *fast = (
             PathFinderRouter(graph, delay_costs=delay_costs, kernel=k)
             .route(nets, criticality=criticality)
-            for k in ("python", "numpy"))
+            for k in ALL_KERNELS)
         assert ref.success
-        assert fingerprint(vec) == fingerprint(ref)
+        assert_same(ref, *fast)
 
     def test_fixed_trees(self, placement, routed):
         """Incremental repair: every fourth net rerouted around one
@@ -182,13 +222,18 @@ class TestRouterPaths:
         wires = set(graph.nodes_of_kind(KIND_HWIRE, KIND_VWIRE).tolist())
         blocked = {min(set(result.trees[net.name].nodes) & wires)
                    for net in victims}
-        ref, vec = (
+        ref, *fast = (
             PathFinderRouter(graph, blocked_nodes=blocked, kernel=k)
             .route(victims, fixed_trees=fixed)
-            for k in ("python", "numpy"))
+            for k in ALL_KERNELS)
         assert ref.success
         assert set(ref.trees) == victim_names
-        assert fingerprint(vec) == fingerprint(ref)
+        assert_same(ref, *fast)
+        # Pinning a packed result's trees is the same as pinning a dict.
+        packed = dataclasses.replace(result, trees=fixed).trees
+        assert fingerprint(PathFinderRouter(
+            graph, blocked_nodes=blocked).route(
+                victims, fixed_trees=packed)) == fingerprint(ref)
 
     @pytest.mark.parametrize(
         "num_luts,seed,place_seed,width", ESCALATING,
@@ -213,16 +258,37 @@ class TestRouterPaths:
 
     def test_channel_width_search(self):
         """A whole Wmin search on a graph of the repo benchmark's
-        ``wmin`` size, the reference forced against the default."""
+        ``wmin`` size, the reference forced against each fast walk."""
         arch = ArchParams(channel_width=64)
         placement = place(pack(load_circuit("tseng", scale=0.03), arch), seed=2)
         w_ref, r_ref, g_ref = find_min_channel_width(
-            placement, arch, kernel="python")
-        w_def, r_def, g_def = find_min_channel_width(placement, arch)
+            placement, arch, kernel=PythonKernel)
         assert g_ref.num_nodes < 1500
-        assert w_def == w_ref
-        assert g_def.params.channel_width == g_ref.params.channel_width == w_ref
-        assert fingerprint(r_def) == fingerprint(r_ref)
+        for kernel in KERNELS:
+            w_def, r_def, g_def = find_min_channel_width(
+                placement, arch, kernel=kernel)
+            assert w_def == w_ref
+            assert g_def.params.channel_width == g_ref.params.channel_width == w_ref
+            assert fingerprint(r_def) == fingerprint(r_ref)
+
+    @pytest.mark.skipif(DEFAULT_KERNEL is not CompiledKernel, reason="no C compiler")
+    def test_compiled_walk_state_edges(self, placement, routed):
+        """A one-entry heap (the walk asks for a bigger one and routes
+        the net again) and epoch counters about to wrap (the stamps are
+        cleared) change nothing."""
+        graph = get_fabric(ARCH, placement.grid_width, placement.grid_height)
+        nets = build_route_nets(placement)
+        used = PathFinderRouter(graph, kernel="c")
+        used.route(nets)
+        router = PathFinderRouter(graph, kernel="c")
+        # Stale stamps from low epochs, which the wrap must clear.
+        for name in ("seen", "priced", "intree", "xmark"):
+            router._kernel._arrays[name][:] = used._kernel._arrays[name]
+        router._kernel._state.search = router._kernel._state.net = 2**32 - 3
+        router._kernel._grow_heap(1)
+        assert fingerprint(router.route(nets)) == fingerprint(routed[0])
+        assert router._kernel._state.heap_cap > 1
+        assert router._kernel._state.search < 2**31  # it wrapped
 
     def test_feeds_into_matches_row_scan(self, routed):
         """The escalation scan's vectorised row test against a plain
@@ -242,8 +308,9 @@ class TestKernelProperties:
     @given(seed=st.integers(0, 10_000), num_luts=st.integers(40, 110),
            width=st.sampled_from([24, 32, 48]))
     def test_generated_netlists_identical(self, seed, num_luts, width):
-        """Property: over arbitrary generated circuits, numpy == python
-        on the full RoutingResult — success or failure alike."""
+        """Property: over arbitrary generated circuits, each fast walk
+        == the reference on the full RoutingResult — success or
+        failure alike."""
         arch = ArchParams(channel_width=width)
         placement = placed_circuit(
             f"hyp{seed}", num_luts, seed, arch, place_seed=seed % 13)
@@ -253,46 +320,137 @@ class TestKernelProperties:
 
 class TestKernelSelection:
     def test_explicit_wins(self):
-        assert resolve_kernel("python") == "python"
-        assert resolve_kernel("numpy") == "numpy"
+        assert resolve_kernel("numpy") is NumpyKernel
+        assert resolve_kernel("c") is DEFAULT_KERNEL
+        assert resolve_kernel(PythonKernel) is PythonKernel
 
     def test_unknown_raises(self):
         with pytest.raises(ValueError, match="unknown route kernel"):
             resolve_kernel("fortran")
 
-    def test_numpy_at_every_size(self):
-        """No kernel given: numpy, whatever the graph size."""
-        assert resolve_kernel(None) == "numpy"
+    def test_default_is_the_compiled_walk(self):
+        """No kernel given: the compiled walk, whatever the graph size
+        (the numpy walk only when it cannot be built)."""
+        assert resolve_kernel(None) is DEFAULT_KERNEL
 
     @pytest.mark.parametrize("value", ["python", "numpy", "fortran"])
     def test_environment_is_ignored(self, monkeypatch, value):
         """The retired ``REPRO_ROUTE_KERNEL`` variable changes nothing."""
         monkeypatch.setenv("REPRO_ROUTE_KERNEL", value)
-        assert resolve_kernel(None) == "numpy"
+        assert resolve_kernel(None) is DEFAULT_KERNEL
 
-    def test_numba_is_not_a_kernel(self):
-        assert "numba" not in KERNELS
+    @pytest.mark.parametrize("name", ["numba", "python"])
+    def test_retired_names_are_not_kernels(self, name):
+        """numba is gone, and the reference is passed as a class."""
+        assert name not in KERNELS
         with pytest.raises(ValueError, match="unknown route kernel"):
-            resolve_kernel("numba")
+            resolve_kernel(name)
 
     def test_router_exposes_resolved_kernel(self, placement):
         graph = get_fabric(ARCH, placement.grid_width, placement.grid_height)
         assert PathFinderRouter(graph, kernel="numpy").kernel == "numpy"
-        assert PathFinderRouter(graph).kernel == "numpy"
+        assert PathFinderRouter(graph).kernel == DEFAULT_KERNEL.name
+        assert PathFinderRouter(graph, kernel=PythonKernel).kernel == "python"
         with pytest.raises(ValueError):
             PathFinderRouter(graph, kernel="fortran")
 
     def test_make_kernel_names(self, placement):
         graph = get_fabric(ARCH, placement.grid_width, placement.grid_height)
-        router = PathFinderRouter(graph, kernel="python")
-        for name in KERNELS:
-            assert make_kernel(name, router).name == name
+        router = PathFinderRouter(graph, kernel="numpy")
+        assert make_kernel("numpy", router).name == "numpy"
+        assert make_kernel("c", router).name == DEFAULT_KERNEL.name
         with pytest.raises(ValueError):
             make_kernel("fortran", router)
 
+    def test_span_records_the_walk(self, placement):
+        from repro.obs import Tracer, use_tracer
+
+        graph = get_fabric(ARCH, placement.grid_width, placement.grid_height)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            PathFinderRouter(graph).route(build_route_nets(placement))
+        (span,) = [s for s in tracer.roots if s.name == "route.pathfinder"]
+        assert span.attrs["kernel"] == DEFAULT_KERNEL.name
+
+
+class TestCompiledBuild:
+    def test_no_compiler_falls_back(self, monkeypatch, placement, routed):
+        """``CC`` naming a missing binary: one warning, the numpy walk,
+        the same result."""
+        monkeypatch.setattr(route_kernels, "_WALK", route_kernels._UNSET)
+        monkeypatch.setenv("CC", "/nonexistent/cc")
+        with pytest.warns(RuntimeWarning, match="compiled route walk") as caught:
+            first, _ = route_design(placement, ARCH)
+            graph = get_fabric(ARCH, placement.grid_width, placement.grid_height)
+            router = PathFinderRouter(graph)
+        assert len([w for w in caught if "route walk" in str(w.message)]) == 1
+        assert router.kernel == "numpy"
+        assert fingerprint(first) == fingerprint(routed[0])
+
+    def test_source_ships_as_package_data(self):
+        from importlib.resources import files
+
+        source = files("repro.vpr").joinpath("_walk.c")
+        assert source.is_file()
+        assert b"walk_net" in source.read_bytes()
+
+    @pytest.mark.skipif(compiled_walk() is None, reason="no C compiler")
+    def test_racing_builds_load_one_library(self, tmp_path):
+        """Two processes building into one empty cache both load a
+        whole library, and leave one file behind."""
+        import subprocess
+        import sys
+
+        code = ("import sys; from repro.vpr.route_kernels import build_walk, "
+                "_load_walk; p = build_walk(sys.argv[1]); _load_walk(p); print(p)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        procs = [subprocess.Popen([sys.executable, "-c", code, str(tmp_path)],
+                                  stdout=subprocess.PIPE, text=True, env=env)
+                 for _ in range(2)]
+        paths = [proc.communicate(timeout=120)[0].strip() for proc in procs]
+        assert [proc.returncode for proc in procs] == [0, 0]
+        assert paths[0] == paths[1]
+        assert [p.name for p in tmp_path.iterdir()] == [os.path.basename(paths[0])]
+
+    @pytest.mark.skipif(compiled_walk() is None, reason="no C compiler")
+    def test_cached_library_is_reused(self, tmp_path, monkeypatch):
+        path = route_kernels.build_walk(str(tmp_path))
+        monkeypatch.setenv("PATH", "")  # no compiler reachable now
+        assert route_kernels.build_walk(str(tmp_path)) == path
+
+
+class TestThreads:
+    def test_routers_on_threads_route_identically(self, placement, routed):
+        """Routers on more threads than cores (the compiled walk runs
+        without the GIL, as under ``repro serve``) each get the serial
+        result: no walk state is shared."""
+        import sys
+        import threading
+
+        graph = get_fabric(ARCH, placement.grid_width, placement.grid_height)
+        nets = build_route_nets(placement)
+        results = [None] * 4
+
+        def work(i):
+            results[i] = PathFinderRouter(graph).route(nets)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for result in results:
+            assert fingerprint(result) == fingerprint(routed[0])
+
 
 class TestRouterLifetime:
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("kernel", ALL_KERNELS)
     def test_dropped_router_frees_without_gc(self, placement, kernel):
         """The kernel holds what it reads, not the router: a
         dropped router and its kernel go by refcount alone, so a
@@ -313,9 +471,9 @@ class TestRouterLifetime:
 
 
 def eager_tile_tables(ir, blocked_edges):
-    """The numpy kernel's per-tile ``{wire: [ipin, ...]}`` tables as
-    it once built them eagerly, one Python step per wire->IPIN edge
-    (the oracle for the lazy build)."""
+    """The per-tile ``{wire: [ipin, ...]}`` tables as the numpy kernel
+    once built them eagerly, one Python step per wire->IPIN edge (the
+    oracle for the tile-sorted index)."""
     n = ir.num_nodes
     tables = {}
     off, tgt = ir.csr_offsets(), ir.csr_targets()
@@ -330,6 +488,21 @@ def eager_tile_tables(ir, blocked_edges):
     return tables
 
 
+def index_table(kernel, tile):
+    """One tile's ``{wire: [ipin, ...]}`` read from the kernel's
+    tile-sorted index the way the compiled walk reads it: the tile's
+    slice, each wire's taps one contiguous run."""
+    t = tile[0] * kernel.fabric.ny + tile[1]
+    lo, hi = kernel._ipin_tile_offsets[t], kernel._ipin_tile_offsets[t + 1]
+    us, vs = kernel._ipin_u[lo:hi].tolist(), kernel._ipin_v[lo:hi].tolist()
+    table = {}
+    for i, u in enumerate(us):
+        if u in table:
+            assert us[i - 1] == u, "a wire's taps are not contiguous"
+        table.setdefault(u, []).append(vs[i])
+    return table
+
+
 def wire_ipin_edges(ir):
     off, tgt = ir.csr_offsets(), ir.csr_targets()
     return [
@@ -341,7 +514,7 @@ def wire_ipin_edges(ir):
     ]
 
 
-class TestLazyTileTables:
+class TestTileIndex:
     @pytest.fixture(scope="class")
     def graph(self, placement):
         return get_fabric(ARCH, placement.grid_width, placement.grid_height)
@@ -367,27 +540,35 @@ class TestLazyTileTables:
         eager = eager_tile_tables(graph, router._blocked_edges)
         for x in range(graph.nx):
             for y in range(graph.ny):
-                lazy = router._kernel._tile_table((x, y))
                 # Same wires in the same order, each with the same IPINs
-                # in the same (CSR) order.
-                assert list(lazy.items()) == list(
-                    eager.get((x, y), {}).items())
+                # in the same (CSR) order, both as the compiled walk
+                # reads the index and as the numpy walk's table.
+                want = list(eager.get((x, y), {}).items())
+                assert list(index_table(router._kernel, (x, y)).items()) == want
+                assert list(router._kernel._tile_table((x, y)).items()) == want
 
     def test_fully_blocked_wire_has_no_entry(self, graph, blocked):
         edges, (tile, u) = blocked
         router = PathFinderRouter(graph, blocked_edges=edges)
+        assert u not in index_table(router._kernel, tile)
         assert u not in router._kernel._tile_table(tile)
         unblocked = PathFinderRouter(graph)
-        assert u in unblocked._kernel._tile_table(tile)
+        assert u in index_table(unblocked._kernel, tile)
 
-    def test_tables_are_built_on_demand(self, graph, placement):
-        router = PathFinderRouter(graph)
-        assert router._kernel._tile_extra == {}
+    def test_only_the_numpy_walk_builds_tables(self, graph, placement):
+        """The compiled walk reads the index and builds no per-tile
+        table; the numpy walk builds one per targeted tile, on demand."""
         nets = build_route_nets(placement)
-        assert router.route(nets[:3]).success
-        built = set(router._kernel._tile_extra)
         targeted = {tile for net in nets[:3] for tile in net.sink_tiles}
-        assert built and built <= targeted
+        for kernel in KERNELS:
+            router = PathFinderRouter(graph, kernel=kernel)
+            assert router._kernel._tile_extra == {}
+            assert router.route(nets[:3]).success
+            built = set(router._kernel._tile_extra)
+            if router.kernel == "c":
+                assert built == set()
+            else:
+                assert built and built <= targeted
 
     def test_blocked_taps_route_identically(self, placement, blocked):
         ref, vec = route_pair(placement, ARCH, blocked_edges=blocked[0])
